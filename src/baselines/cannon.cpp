@@ -51,14 +51,7 @@ MultiplyResult cannon_multiply(Rank& me, Comm& comm, MatrixView a_block,
   const double start_vt = me.clock().now();
   const TraceCounters my_start = me.trace();
 
-  if (!opt.phantom && opt.beta != 1.0) {
-    if (opt.beta == 0.0) {
-      c_block.fill(0.0);
-    } else {
-      for (index_t j = 0; j < bn; ++j)
-        for (index_t i = 0; i < bm; ++i) c_block(i, j) *= opt.beta;
-    }
-  }
+  if (!opt.phantom && opt.beta != 1.0) c_block.scale(opt.beta);
 
   Matrix a_tmp;
   Matrix b_tmp;

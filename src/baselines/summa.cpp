@@ -9,10 +9,85 @@
 
 namespace srumma {
 
+MultiplyResult summa_panel_loop(Rank& me, Comm& comm, const SummaLoop& loop) {
+  const ProcGrid& grid = loop.grid;
+  const bool phantom = loop.phantom;
+  const index_t rows = loop.rows;
+  const index_t cols = loop.cols;
+  const MachineModel& mm = me.team().machine();
+
+  const auto [pi, pj] = grid.coords_of(me.id());
+  std::vector<int> row_group;  // my grid row: broadcast domain for A panels
+  for (int j = 0; j < grid.q; ++j) row_group.push_back(grid.rank_of(pi, j));
+  std::vector<int> col_group;  // my grid column: broadcast domain for B panels
+  for (int i = 0; i < grid.p; ++i) col_group.push_back(grid.rank_of(i, pj));
+
+  me.barrier();
+  const double start_vt = me.clock().now();
+  const TraceCounters my_start = me.trace();
+
+  if (!phantom && loop.beta != 1.0) loop.c.scale(loop.beta);
+
+  Matrix a_panel;
+  Matrix b_panel;
+  if (!phantom && loop.capacity > 0) {
+    a_panel = Matrix(std::max<index_t>(rows, 1), loop.capacity);
+    b_panel = Matrix(loop.capacity, std::max<index_t>(cols, 1));
+  }
+  me.trace().buffer_bytes_peak = std::max(
+      me.trace().buffer_bytes_peak,
+      static_cast<std::uint64_t>((rows + cols) * loop.capacity) *
+          sizeof(double));
+
+  for (const SummaPanel& p : loop.panels) {
+    const index_t kw = p.width;
+    SRUMMA_REQUIRE(kw > 0 && kw <= loop.capacity,
+                   "summa: panel width must be in [1, capacity]");
+
+    // A panel: owned by one grid column; roots pack, then row broadcast.
+    const int a_root = grid.rank_of(pi, p.a_col);
+    MatrixView a_packed =
+        phantom ? MatrixView{}
+                : MatrixView(a_panel.data(), rows, kw, a_panel.ld());
+    if (me.id() == a_root) {
+      if (!phantom && rows > 0)
+        copy(ConstMatrixView(loop.a.block(0, p.a_off, rows, kw)), a_packed);
+      me.charge_seconds(static_cast<double>(rows * kw) * sizeof(double) /
+                        mm.shm_bw);  // pack
+    }
+    comm.bcast(me, row_group, a_root, phantom ? nullptr : a_panel.data(),
+               static_cast<std::size_t>(rows * kw));
+
+    // B panel: owned by one grid row; roots pack, then column broadcast.
+    // The panel buffer is packed with ld == kw so the broadcast payload is
+    // contiguous even when this panel is narrower than the widest one.
+    const int b_root = grid.rank_of(p.b_row, pj);
+    MatrixView b_packed =
+        phantom ? MatrixView{}
+                : MatrixView(b_panel.data(), kw, cols, std::max<index_t>(kw, 1));
+    if (me.id() == b_root) {
+      if (!phantom && cols > 0)
+        copy(ConstMatrixView(loop.b.block(p.b_off, 0, kw, cols)), b_packed);
+      me.charge_seconds(static_cast<double>(kw * cols) * sizeof(double) /
+                        mm.shm_bw);  // pack
+    }
+    comm.bcast(me, col_group, b_root, phantom ? nullptr : b_panel.data(),
+               static_cast<std::size_t>(kw * cols));
+
+    if (!phantom && rows > 0 && cols > 0) {
+      blas::gemm(blas::Trans::No, blas::Trans::No, rows, cols, kw, loop.alpha,
+                 a_packed.data(), a_packed.ld(), b_packed.data(),
+                 b_packed.ld(), 1.0, loop.c.data(), loop.c.ld());
+    }
+    me.charge_gemm(rows, cols, kw);
+  }
+
+  return collect_result(me, start_vt, my_start, loop.flops);
+}
+
 MultiplyResult summa_multiply(Rank& me, Comm& comm, DistMatrix& a,
                               DistMatrix& b, DistMatrix& c,
                               const SummaOptions& opt) {
-  Team& team = me.team();
   const ProcGrid grid = c.grid();
   SRUMMA_REQUIRE(a.grid().p == grid.p && a.grid().q == grid.q &&
                      b.grid().p == grid.p && b.grid().q == grid.q,
@@ -24,101 +99,36 @@ MultiplyResult summa_multiply(Rank& me, Comm& comm, DistMatrix& a,
                  "summa: dimensions do not conform");
   SRUMMA_REQUIRE(a.phantom() == c.phantom() && b.phantom() == c.phantom(),
                  "summa: phantom flags of A, B, C must agree");
-  const bool phantom = c.phantom();
-  const MachineModel& mm = team.machine();
 
-  const auto [pi, pj] = grid.coords_of(me.id());
-  std::vector<int> row_group;  // my grid row: broadcast domain for A panels
-  for (int j = 0; j < grid.q; ++j) row_group.push_back(grid.rank_of(pi, j));
-  std::vector<int> col_group;  // my grid column: broadcast domain for B panels
-  for (int i = 0; i < grid.p; ++i) col_group.push_back(grid.rank_of(i, pj));
-
+  SummaLoop loop;
+  loop.grid = grid;
+  loop.phantom = c.phantom();
+  if (!loop.phantom) {
+    loop.a = a.local_view(me);
+    loop.b = b.local_view(me);
+    loop.c = c.local_view(me);
+  }
+  loop.rows = c.block_rows(me.id());
+  loop.cols = c.block_cols(me.id());
+  // Panels cut at every A-column and B-row owner boundary (and at most
+  // opt.panel wide), so each has one owning grid column and grid row.
   const std::vector<index_t> ks =
       k_segment_bounds(a.col_dist(), b.row_dist(), opt.panel);
-  index_t max_panel = 0;
-  for (std::size_t s = 0; s + 1 < ks.size(); ++s)
-    max_panel = std::max(max_panel, ks[s + 1] - ks[s]);
-
-  const index_t bm = c.block_rows(me.id());
-  const index_t bn = c.block_cols(me.id());
-
-  me.barrier();
-  const double start_vt = me.clock().now();
-  const TraceCounters my_start = me.trace();
-
-  if (!phantom && opt.beta != 1.0) {
-    MatrixView mine = c.local_view(me);
-    if (opt.beta == 0.0) {
-      mine.fill(0.0);
-    } else {
-      for (index_t j = 0; j < bn; ++j)
-        for (index_t i = 0; i < bm; ++i) mine(i, j) *= opt.beta;
-    }
-  }
-
-  Matrix a_panel;
-  Matrix b_panel;
-  if (!phantom && max_panel > 0) {
-    a_panel = Matrix(std::max<index_t>(bm, 1), max_panel);
-    b_panel = Matrix(std::max<index_t>(max_panel, 1), bn);
-  }
-  me.trace().buffer_bytes_peak = std::max(
-      me.trace().buffer_bytes_peak,
-      static_cast<std::uint64_t>((bm + bn) * max_panel) * sizeof(double));
-
   for (std::size_t s = 0; s + 1 < ks.size(); ++s) {
     const index_t k0 = ks[s];
     const index_t kw = ks[s + 1] - k0;
     if (kw == 0) continue;
-
-    // A panel: owned by one grid column; roots pack, then row broadcast.
     const int pc = a.col_dist().owner(k0);
-    const int a_root = grid.rank_of(pi, pc);
-    if (me.id() == a_root) {
-      if (!phantom && bm > 0) {
-        copy(ConstMatrixView(a.local_view(me).block(
-                 0, k0 - a.block_col_start(me.id()), bm, kw)),
-             a_panel.block(0, 0, bm, kw));
-      }
-      me.charge_seconds(static_cast<double>(bm * kw) * sizeof(double) /
-                        mm.shm_bw);  // pack
-    }
-    comm.bcast(me, row_group, a_root, phantom ? nullptr : a_panel.data(),
-               static_cast<std::size_t>(bm * kw));
-
-    // B panel: owned by one grid row; roots pack, then column broadcast.
-    // The panel buffer is packed with ld == kw so the broadcast payload is
-    // contiguous even when this panel is narrower than the widest one.
     const int pr = b.row_dist().owner(k0);
-    const int b_root = grid.rank_of(pr, pj);
-    MatrixView b_packed =
-        phantom ? MatrixView{}
-                : MatrixView(b_panel.data(), kw, bn, std::max<index_t>(kw, 1));
-    if (me.id() == b_root) {
-      if (!phantom && bn > 0) {
-        copy(ConstMatrixView(b.local_view(me).block(
-                 k0 - b.block_row_start(me.id()), 0, kw, bn)),
-             b_packed);
-      }
-      me.charge_seconds(static_cast<double>(kw * bn) * sizeof(double) /
-                        mm.shm_bw);  // pack
-    }
-    comm.bcast(me, col_group, b_root, phantom ? nullptr : b_panel.data(),
-               static_cast<std::size_t>(kw * bn));
-
-    if (!phantom && bm > 0 && bn > 0) {
-      MatrixView mine = c.local_view(me);
-      blas::gemm(blas::Trans::No, blas::Trans::No, bm, bn, kw, opt.alpha,
-                 a_panel.data(), a_panel.ld(), b_packed.data(), b_packed.ld(),
-                 1.0, mine.data(), mine.ld());
-    }
-    me.charge_gemm(bm, bn, kw);
+    loop.panels.push_back({kw, pc, pr, k0 - a.col_dist().start(pc),
+                           k0 - b.row_dist().start(pr)});
+    loop.capacity = std::max(loop.capacity, kw);
   }
-
-  return collect_result(me, start_vt, my_start,
-                        gemm_flops(static_cast<double>(m),
-                                   static_cast<double>(n),
-                                   static_cast<double>(k)));
+  loop.alpha = opt.alpha;
+  loop.beta = opt.beta;
+  loop.flops = gemm_flops(static_cast<double>(m), static_cast<double>(n),
+                          static_cast<double>(k));
+  return summa_panel_loop(me, comm, loop);
 }
 
 void transpose_redistribute(Rank& me, Comm& comm, DistMatrix& src,

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::cache {
@@ -11,9 +12,8 @@ namespace srumma::cache {
 CacheConfig CacheConfig::from_env(CacheConfig base) {
   if (const char* v = std::getenv("SRUMMA_CACHE"))
     base.enabled = *v != '\0' && *v != '0';
-  if (const char* v = std::getenv("SRUMMA_CACHE_CAP"))
-    base.capacity_bytes =
-        static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+  if (const auto cap = env_int("SRUMMA_CACHE_CAP", 0, std::int64_t{1} << 50))
+    base.capacity_bytes = static_cast<std::uint64_t>(*cap);
   return base;
 }
 

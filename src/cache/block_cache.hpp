@@ -67,7 +67,8 @@ struct CacheConfig {
   /// footprint at each multiply (the begin_epoch default).
   std::uint64_t capacity_bytes = 0;
 
-  /// Apply SRUMMA_CACHE / SRUMMA_CACHE_CAP on top of `base`.
+  /// Apply SRUMMA_CACHE / SRUMMA_CACHE_CAP (bytes, an integer in
+  /// [0, 2^50], else Error) on top of `base`.
   [[nodiscard]] static CacheConfig from_env(CacheConfig base);
 };
 

@@ -49,15 +49,7 @@ MultiplyResult srumma_multiply(Rank& me, DistMatrix& a, DistMatrix& b,
   const int lookahead = opt.nonblocking ? tuned.lookahead : 0;
 
   // Apply beta to my local C block once, before accumulation.
-  if (!c.phantom() && opt.beta != 1.0) {
-    MatrixView mine = c.local_view(me);
-    if (opt.beta == 0.0) {
-      mine.fill(0.0);
-    } else {
-      for (index_t j = 0; j < mine.cols(); ++j)
-        for (index_t i = 0; i < mine.rows(); ++i) mine(i, j) *= opt.beta;
-    }
-  }
+  if (!c.phantom() && opt.beta != 1.0) c.local_view(me).scale(opt.beta);
 
   SRUMMA_REQUIRE(tuned.lookahead >= 1 && tuned.lookahead <= 64,
                  "srumma: lookahead must be in [1, 64]");

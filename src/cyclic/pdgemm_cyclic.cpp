@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "blas/gemm.hpp"
+#include "baselines/summa.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -11,7 +11,6 @@ namespace srumma {
 MultiplyResult pdgemm_cyclic(Rank& me, Comm& comm, CyclicMatrix& a,
                              CyclicMatrix& b, CyclicMatrix& c,
                              const PdgemmCyclicOptions& opt) {
-  Team& team = me.team();
   const ProcGrid grid = c.grid();
   SRUMMA_REQUIRE(a.grid().p == grid.p && a.grid().q == grid.q &&
                      b.grid().p == grid.p && b.grid().q == grid.q,
@@ -29,98 +28,32 @@ MultiplyResult pdgemm_cyclic(Rank& me, Comm& comm, CyclicMatrix& a,
                  "pdgemm_cyclic: row/col blocking of C must match A/B");
   SRUMMA_REQUIRE(a.phantom() == c.phantom() && b.phantom() == c.phantom(),
                  "pdgemm_cyclic: phantom flags must agree");
-  const bool phantom = c.phantom();
-  const MachineModel& mm = team.machine();
 
-  const auto [pi, pj] = grid.coords_of(me.id());
-  std::vector<int> row_group;
-  for (int j = 0; j < grid.q; ++j) row_group.push_back(grid.rank_of(pi, j));
-  std::vector<int> col_group;
-  for (int i = 0; i < grid.p; ++i) col_group.push_back(grid.rank_of(i, pj));
-
-  const index_t lrows = c.local_rows(me.id());
-  const index_t lcols = c.local_cols(me.id());
-
-  me.barrier();
-  const double start_vt = me.clock().now();
-  const TraceCounters my_start = me.trace();
-
-  if (!phantom && opt.beta != 1.0) {
-    MatrixView mine = c.local_view(me);
-    if (opt.beta == 0.0) {
-      mine.fill(0.0);
-    } else {
-      for (index_t j = 0; j < lcols; ++j)
-        for (index_t i = 0; i < lrows; ++i) mine(i, j) *= opt.beta;
-    }
+  // Panel t is column block t of A (grid column t mod q) and row block t of
+  // B (grid row t mod p); panel buffers are one full block wide.
+  SummaLoop loop;
+  loop.grid = grid;
+  loop.phantom = c.phantom();
+  if (!loop.phantom) {
+    loop.a = a.local_view(me);
+    loop.b = b.local_view(me);
+    loop.c = c.local_view(me);
   }
-
-  Matrix a_panel;
-  Matrix b_panel;
-  if (!phantom) {
-    a_panel = Matrix(std::max<index_t>(lrows, 1), kb);
-    b_panel = Matrix(kb, std::max<index_t>(lcols, 1));
+  loop.rows = c.local_rows(me.id());
+  loop.cols = c.local_cols(me.id());
+  for (index_t k0 = 0; k0 < k; k0 += kb) {
+    const index_t t = k0 / kb;
+    loop.panels.push_back({std::min(kb, k - k0), static_cast<int>(t % grid.q),
+                           static_cast<int>(t % grid.p),
+                           a.col_dist().to_local(k0),
+                           b.row_dist().to_local(k0)});
   }
-  me.trace().buffer_bytes_peak = std::max(
-      me.trace().buffer_bytes_peak,
-      static_cast<std::uint64_t>((lrows + lcols) * kb) * sizeof(double));
-
-  const index_t n_panels = (k + kb - 1) / kb;
-  for (index_t t = 0; t < n_panels; ++t) {
-    const index_t k0 = t * kb;
-    const index_t kw = std::min(kb, k - k0);
-
-    // A panel: owned by grid column (t mod q).
-    const int pc = static_cast<int>(t % grid.q);
-    const int a_root = grid.rank_of(pi, pc);
-    MatrixView a_packed =
-        phantom ? MatrixView{}
-                : MatrixView(a_panel.data(), lrows, kw,
-                             std::max<index_t>(lrows, 1));
-    if (me.id() == a_root) {
-      if (!phantom && lrows > 0) {
-        const index_t lj0 = a.col_dist().to_local(k0);
-        copy(ConstMatrixView(a.local_view(me).block(0, lj0, lrows, kw)),
-             a_packed);
-      }
-      me.charge_seconds(static_cast<double>(lrows * kw) * sizeof(double) /
-                        mm.shm_bw);
-    }
-    comm.bcast(me, row_group, a_root, phantom ? nullptr : a_panel.data(),
-               static_cast<std::size_t>(lrows * kw));
-
-    // B panel: owned by grid row (t mod p).
-    const int pr = static_cast<int>(t % grid.p);
-    const int b_root = grid.rank_of(pr, pj);
-    MatrixView b_packed =
-        phantom ? MatrixView{}
-                : MatrixView(b_panel.data(), kw, lcols,
-                             std::max<index_t>(kw, 1));
-    if (me.id() == b_root) {
-      if (!phantom && lcols > 0) {
-        const index_t li0 = b.row_dist().to_local(k0);
-        copy(ConstMatrixView(b.local_view(me).block(li0, 0, kw, lcols)),
-             b_packed);
-      }
-      me.charge_seconds(static_cast<double>(kw * lcols) * sizeof(double) /
-                        mm.shm_bw);
-    }
-    comm.bcast(me, col_group, b_root, phantom ? nullptr : b_panel.data(),
-               static_cast<std::size_t>(kw * lcols));
-
-    if (!phantom && lrows > 0 && lcols > 0) {
-      MatrixView mine = c.local_view(me);
-      blas::gemm(blas::Trans::No, blas::Trans::No, lrows, lcols, kw,
-                 opt.alpha, a_packed.data(), a_packed.ld(), b_packed.data(),
-                 b_packed.ld(), 1.0, mine.data(), mine.ld());
-    }
-    me.charge_gemm(lrows, lcols, kw);
-  }
-
-  return collect_result(me, start_vt, my_start,
-                        gemm_flops(static_cast<double>(m),
-                                   static_cast<double>(n),
-                                   static_cast<double>(k)));
+  loop.capacity = kb;
+  loop.alpha = opt.alpha;
+  loop.beta = opt.beta;
+  loop.flops = gemm_flops(static_cast<double>(m), static_cast<double>(n),
+                          static_cast<double>(k));
+  return summa_panel_loop(me, comm, loop);
 }
 
 }  // namespace srumma

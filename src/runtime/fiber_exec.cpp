@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 // Sanitizer fiber annotations.  GCC defines __SANITIZE_THREAD__ /
@@ -268,25 +269,16 @@ void run_fibers(int n, int workers, std::size_t stack_bytes,
   t_worker = saved_worker;
 }
 
-int default_workers() noexcept {
-  if (const char* s = std::getenv("SRUMMA_HARNESS_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && *end == '\0' && v >= 1 && v <= 4096)
-      return static_cast<int>(v);
-  }
+int default_workers() {
+  if (const auto v = env_int("SRUMMA_HARNESS_THREADS", 1, 4096))
+    return static_cast<int>(*v);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-std::size_t default_stack_bytes() noexcept {
-  long kb = 512;
-  if (const char* s = std::getenv("SRUMMA_HARNESS_STACK_KB")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && *end == '\0' && v >= 64 && v <= 64 * 1024) kb = v;
-  }
-  return static_cast<std::size_t>(kb) * 1024u;
+std::size_t default_stack_bytes() {
+  const auto kb = env_int("SRUMMA_HARNESS_STACK_KB", 64, 64 * 1024);
+  return static_cast<std::size_t>(kb.value_or(512)) * 1024u;
 }
 
 }  // namespace srumma::exec

@@ -42,10 +42,12 @@ void yield();
 void run_fibers(int n, int workers, std::size_t stack_bytes,
                 const std::function<void(int)>& body);
 
-/// SRUMMA_HARNESS_THREADS, else std::thread::hardware_concurrency(), >= 1.
-[[nodiscard]] int default_workers() noexcept;
+/// SRUMMA_HARNESS_THREADS (an integer in [1, 4096]; anything else throws
+/// Error), else std::thread::hardware_concurrency(), >= 1.
+[[nodiscard]] int default_workers();
 
-/// SRUMMA_HARNESS_STACK_KB * 1024, else 256 KiB; page-rounded, >= 64 KiB.
-[[nodiscard]] std::size_t default_stack_bytes() noexcept;
+/// SRUMMA_HARNESS_STACK_KB (an integer in [64, 65536]; anything else
+/// throws Error) * 1024, else 512 KiB.
+[[nodiscard]] std::size_t default_stack_bytes();
 
 }  // namespace srumma::exec

@@ -1,12 +1,32 @@
 #include "trace/profile.hpp"
 
 #include <algorithm>
+#include <map>
 #include <ostream>
 #include <vector>
 
 #include "util/table.hpp"
 
 namespace srumma {
+namespace {
+
+/// Gantt cell of a traced event; '\0' for events the chart does not draw.
+char gantt_cell(const trace::TraceEvent& e) {
+  if (e.type != trace::EvType::Span || e.t1 <= e.t0) return '\0';
+  switch (e.phase) {
+    case trace::Phase::Compute: return 'C';
+    case trace::Phase::Get: return 'G';
+    case trace::Phase::Put:
+    case trace::Phase::Acc: return 'P';
+    case trace::Phase::Wait:
+    case trace::Phase::RecoveryWait: return 'W';
+    case trace::Phase::Noise: return 'N';
+    case trace::Phase::Barrier: return 'B';
+    default: return '\0';
+  }
+}
+
+}  // namespace
 
 void print_profile(std::ostream& os, Team& team, int max_rows) {
   const double makespan = team.max_clock();
@@ -70,6 +90,68 @@ void print_profile(std::ostream& os, Team& team, int max_rows) {
     os << "\n";
     res.print(os, "resource utilization");
   }
+}
+
+void print_gantt(std::ostream& os, const trace::Tracer& tracer, double t0,
+                 double t1, int width, int max_ranks) {
+  SRUMMA_REQUIRE(width >= 10, "gantt: width must be at least 10");
+  std::vector<std::vector<trace::TraceEvent>> events;
+  std::uint64_t dropped = 0;
+  for (int r = 0; r < tracer.ranks(); ++r) {
+    events.push_back(tracer.events(r));
+    dropped += tracer.dropped(r);
+  }
+  if (t1 <= t0) {
+    t0 = 0.0;
+    t1 = 0.0;
+    for (const auto& v : events)
+      for (const auto& e : v)
+        if (gantt_cell(e) != '\0') t1 = std::max(t1, e.t1);
+    if (t1 <= 0.0) {
+      os << "(timeline empty)\n";
+      return;
+    }
+  }
+  const double dt = (t1 - t0) / width;
+  os << "timeline [" << t0 * 1e3 << " ms .. " << t1 * 1e3 << " ms], "
+     << dt * 1e3 << " ms/cell  (C compute, G get, P put, W wait, N noise, "
+        "B barrier, . idle)\n";
+  const int shown = std::min(max_ranks, tracer.ranks());
+  for (int r = 0; r < shown; ++r) {
+    // Dominant kind per cell by covered duration.
+    std::vector<std::map<char, double>> cells(static_cast<std::size_t>(width));
+    for (const auto& e : events[static_cast<std::size_t>(r)]) {
+      const char kind = gantt_cell(e);
+      const double lo = std::max(e.t0, t0);
+      const double hi = std::min(e.t1, t1);
+      if (kind == '\0' || hi <= lo) continue;
+      const int b0 = std::clamp(static_cast<int>((lo - t0) / dt), 0, width - 1);
+      const int b1 = std::clamp(static_cast<int>((hi - t0) / dt), 0, width - 1);
+      for (int b = b0; b <= b1; ++b) {
+        const double cell_lo = t0 + b * dt;
+        const double cover = std::min(hi, cell_lo + dt) - std::max(lo, cell_lo);
+        if (cover > 0) cells[static_cast<std::size_t>(b)][kind] += cover;
+      }
+    }
+    os << (r < 10 ? " " : "") << r << " |";
+    for (const auto& cell : cells) {
+      char best = '.';
+      double best_cover = 0.0;
+      for (const auto& [kind, cover] : cell) {
+        if (cover > best_cover) {
+          best = kind;
+          best_cover = cover;
+        }
+      }
+      os << best;
+    }
+    os << "|\n";
+  }
+  if (shown < tracer.ranks())
+    os << "(" << tracer.ranks() - shown << " more ranks not shown)\n";
+  if (dropped > 0)
+    os << "(" << dropped
+       << " trace events lost to ring overflow: the chart is partial)\n";
 }
 
 }  // namespace srumma

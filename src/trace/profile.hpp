@@ -1,8 +1,9 @@
 #pragma once
 // Post-run execution profile: where each rank's virtual time went and how
-// busy the contended resources were.  The production-debugging counterpart
-// of MultiplyResult's aggregate view — this is what you look at when a
-// platform model behaves unexpectedly.
+// busy the contended resources were, and when — as an ASCII Gantt of the
+// traced spans.  The production-debugging counterpart of MultiplyResult's
+// aggregate view — this is what you look at when a platform model behaves
+// unexpectedly.
 
 #include <iosfwd>
 
@@ -16,5 +17,16 @@ namespace srumma {
 /// concurrently with one).  `max_rows` caps the per-rank section (the
 /// extrema rows are always included).
 void print_profile(std::ostream& os, Team& team, int max_rows = 16);
+
+/// ASCII Gantt of a tracer's spans: one row per rank (up to max_ranks),
+/// `width` virtual-time cells across [t0, t1]; each cell shows the kind
+/// that covers most of it — C compute, G get, P put/accumulate, W wait
+/// (delivered or failed attempt), N noise, B barrier — or '.' when idle.
+/// Other phases are not drawn.  Pass t1 <= t0 to span every drawn span.
+/// Notes how many events ring overflow dropped, since the chart is then
+/// partial.  Call only when the recording ranks are quiescent.
+void print_gantt(std::ostream& os, const trace::Tracer& tracer,
+                 double t0 = 0.0, double t1 = 0.0, int width = 100,
+                 int max_ranks = 16);
 
 }  // namespace srumma

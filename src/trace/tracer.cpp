@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "util/env.hpp"
+
 namespace srumma::trace {
 
 const char* phase_name(Phase p) {
@@ -64,10 +66,9 @@ std::optional<TracerConfig> TracerConfig::from_env() {
   if (path == nullptr || *path == '\0') return std::nullopt;
   TracerConfig cfg;
   cfg.path = path;
-  if (const char* cap = std::getenv("SRUMMA_TRACE_CAP")) {
-    const long v = std::strtol(cap, nullptr, 10);
-    if (v > 0) cfg.ring_capacity = static_cast<std::size_t>(v);
-  }
+  if (const auto cap =
+          env_int("SRUMMA_TRACE_CAP", 1, std::int64_t{1} << 32))
+    cfg.ring_capacity = static_cast<std::size_t>(*cap);
   return cfg;
 }
 

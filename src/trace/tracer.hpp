@@ -16,7 +16,7 @@
 //     single `if (Tracer* tr = team.tracer())` null test, the same pattern
 //     as the RMA checker and the fault plane;
 //   * rank-private storage — a rank only ever records its own events, so
-//     the hot path takes no locks (the Timeline precedent);
+//     the hot path takes no locks;
 //   * bounded memory — each rank writes a fixed-capacity ring; overflow
 //     overwrites the *oldest* events and is counted, never reallocates.
 //
@@ -128,8 +128,9 @@ struct TracerConfig {
   /// counted in dropped()) once a rank exceeds it.
   std::size_t ring_capacity = 1u << 16;
 
-  /// SRUMMA_TRACE=<path> (+ optional SRUMMA_TRACE_CAP=<events>); nullopt
-  /// when the environment does not ask for tracing.
+  /// SRUMMA_TRACE=<path> (+ optional SRUMMA_TRACE_CAP=<events>, an
+  /// integer in [1, 2^32], else Error); nullopt when the environment does
+  /// not ask for tracing.
   [[nodiscard]] static std::optional<TracerConfig> from_env();
 };
 

@@ -50,6 +50,17 @@ class MatrixView {
       for (index_t i = 0; i < rows_; ++i) (*this)(i, j) = v;
   }
 
+  /// X := beta*X with the BLAS convention that beta == 0 overwrites, so
+  /// NaN or Inf already in X does not survive.
+  void scale(double beta) const {
+    if (beta == 0.0) {
+      fill(0.0);
+      return;
+    }
+    for (index_t j = 0; j < cols_; ++j)
+      for (index_t i = 0; i < rows_; ++i) (*this)(i, j) *= beta;
+  }
+
  private:
   double* data_ = nullptr;
   index_t rows_ = 0;

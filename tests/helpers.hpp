@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
+#include <optional>
+#include <string>
 
 #include "blas/gemm.hpp"
 #include "dist/dist_matrix.hpp"
@@ -36,5 +39,29 @@ inline Matrix coords_matrix(index_t m, index_t n) {
 inline double gemm_tolerance(index_t k) {
   return 1e-12 * static_cast<double>(std::max<index_t>(k, 1)) * 16.0;
 }
+
+/// Sets (or, for nullptr, unsets) an environment variable for one scope and
+/// restores its previous state on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    set(value);
+  }
+  ~ScopedEnv() { set(old_ ? old_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void set(const char* value) {
+    if (value != nullptr) {
+      setenv(name_.c_str(), value, 1);
+    } else {
+      unsetenv(name_.c_str());
+    }
+  }
+  std::string name_;
+  std::optional<std::string> old_;
+};
 
 }  // namespace srumma::testing

@@ -422,6 +422,36 @@ TEST(RmaZeroByte, CompletesImmediatelyWithoutOverheadOrFaultDraw) {
   });
 }
 
+TEST(CacheConfig, EnvCapacityParsesStrictly) {
+  cache::CacheConfig base;
+  base.capacity_bytes = 77;
+  {
+    testing::ScopedEnv cap("SRUMMA_CACHE_CAP", nullptr);
+    EXPECT_EQ(cache::CacheConfig::from_env(base).capacity_bytes, 77u);
+  }
+  {
+    testing::ScopedEnv cap("SRUMMA_CACHE_CAP", "0");  // 0 = auto-size
+    EXPECT_EQ(cache::CacheConfig::from_env(base).capacity_bytes, 0u);
+  }
+  {
+    testing::ScopedEnv cap("SRUMMA_CACHE_CAP", "1048576");
+    EXPECT_EQ(cache::CacheConfig::from_env(base).capacity_bytes, 1048576u);
+  }
+  for (const char* bad : {"abc", "-1", "1M", "18446744073709551615"}) {
+    testing::ScopedEnv cap("SRUMMA_CACHE_CAP", bad);
+    EXPECT_THROW((void)cache::CacheConfig::from_env(base), Error) << bad;
+  }
+}
+
+TEST(Lookahead, MalformedEnvThrows) {
+  const SrummaOptions opt = tiled_copy_options();
+  for (const char* bad : {"0", "65", "abc"}) {
+    testing::ScopedEnv e("SRUMMA_LOOKAHEAD", bad);
+    EXPECT_THROW((void)run_grid_multiply(RmaConfig{}, opt, 32, 53), Error)
+        << bad;
+  }
+}
+
 TEST(Lookahead, EnvOverrideAndHeuristicBothMatchReference) {
   const index_t n = 128;
   SrummaOptions opt = tiled_copy_options();

@@ -1,11 +1,16 @@
 // Tests for the block-cyclic (ScaLAPACK-layout) substrate: 1-D cyclic
-// distribution properties (swept), the 2-D cyclic matrix, and the cyclic
-// pdgemm against the serial oracle.
+// distribution properties (swept), the 2-D cyclic matrix, the cyclic
+// pdgemm against the serial oracle, and its agreement with block SUMMA
+// where the two layouts coincide.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "baselines/summa.hpp"
 #include "cyclic/pdgemm_cyclic.hpp"
+#include "trace/metrics_json.hpp"
 #include "tests/helpers.hpp"
 
 namespace srumma {
@@ -181,6 +186,11 @@ TEST_P(CyclicGemmSweep, MatchesReference) {
     b.scatter_from(me, b_g.view());
     MultiplyResult r = pdgemm_cyclic(me, comm, a, b, c);
     EXPECT_GT(r.gflops, 0.0);
+    // Panel buffers are one full KB block wide, even when KB exceeds K.
+    EXPECT_EQ(me.trace().buffer_bytes_peak,
+              static_cast<std::uint64_t>(
+                  (c.local_rows(me.id()) + c.local_cols(me.id())) * cc.kb) *
+                  sizeof(double));
     c.gather_to(me, c_out.view());
   });
   EXPECT_LE(max_abs_diff(c_out.view(), c_ref.view()),
@@ -195,6 +205,89 @@ INSTANTIATE_TEST_SUITE_P(
                       CyclicGemmCase{9, 9, 9, 16, 16, 16, 2, 2},  // nb > n
                       CyclicGemmCase{20, 20, 20, 5, 5, 5, 1, 4},
                       CyclicGemmCase{33, 21, 27, 4, 6, 5, 2, 3}));
+
+// With one block per grid row and column (nb = n/p), the block-cyclic
+// layout is the plain block layout, and SUMMA with panel = n/p cuts the
+// same panels: both drivers must then model and compute identically.
+struct BlockVsCyclicCase {
+  index_t n;
+  int p;
+  bool phantom;
+};
+
+class BlockVsCyclic : public ::testing::TestWithParam<BlockVsCyclicCase> {};
+
+TEST_P(BlockVsCyclic, SummaMatchesPdgemmCyclicBitwise) {
+  const BlockVsCyclicCase bc = GetParam();
+  const index_t n = bc.n;
+  const index_t nb = n / bc.p;
+  const ProcGrid grid{bc.p, bc.p};
+  Matrix a_g(n, n), b_g(n, n);
+  fill_random(a_g.view(), 5);
+  fill_random(b_g.view(), 6);
+  Matrix c_block(n, n), c_cyclic(n, n);
+  MultiplyResult r_block, r_cyclic;
+  // Both layouts hold global block (pi, pj) as the local array; filling it
+  // in place keeps the runs free of scatter traffic, whose schedules differ.
+  auto fill_local = [&](Rank& me, const Matrix& g, MatrixView local) {
+    const auto [pi, pj] = grid.coords_of(me.id());
+    copy(ConstMatrixView(g.view().block(pi * nb, pj * nb, nb, nb)), local);
+  };
+
+  {
+    CyEnv env(MachineModel::testing(bc.p, bc.p));
+    env.team.set_execution(ExecMode::Pooled, 1);
+    Comm comm(env.team);
+    env.team.run([&](Rank& me) {
+      DistMatrix a(env.rma, me, n, n, grid, bc.phantom);
+      DistMatrix b(env.rma, me, n, n, grid, bc.phantom);
+      DistMatrix c(env.rma, me, n, n, grid, bc.phantom);
+      if (!bc.phantom) {
+        fill_local(me, a_g, a.local_view(me));
+        fill_local(me, b_g, b.local_view(me));
+      }
+      SummaOptions opt;
+      opt.panel = nb;
+      MultiplyResult r = summa_multiply(me, comm, a, b, c, opt);
+      if (!bc.phantom) c.gather_to(me, c_block.view());
+      if (me.id() == 0) r_block = r;
+    });
+  }
+  {
+    CyEnv env(MachineModel::testing(bc.p, bc.p));
+    env.team.set_execution(ExecMode::Pooled, 1);
+    Comm comm(env.team);
+    env.team.run([&](Rank& me) {
+      CyclicMatrix a(env.rma, me, n, n, nb, nb, grid, bc.phantom);
+      CyclicMatrix b(env.rma, me, n, n, nb, nb, grid, bc.phantom);
+      CyclicMatrix c(env.rma, me, n, n, nb, nb, grid, bc.phantom);
+      if (!bc.phantom) {
+        fill_local(me, a_g, a.local_view(me));
+        fill_local(me, b_g, b.local_view(me));
+      }
+      MultiplyResult r = pdgemm_cyclic(me, comm, a, b, c);
+      if (!bc.phantom) c.gather_to(me, c_cyclic.view());
+      if (me.id() == 0) r_cyclic = r;
+    });
+  }
+
+  EXPECT_EQ(r_block.elapsed, r_cyclic.elapsed);
+  EXPECT_EQ(std::memcmp(&r_block.trace, &r_cyclic.trace,
+                        sizeof(TraceCounters)),
+            0)
+      << "block:  " << trace::counters_json(r_block.trace)
+      << "\ncyclic: " << trace::counters_json(r_cyclic.trace);
+  if (!bc.phantom) {
+    EXPECT_EQ(std::memcmp(c_block.data(), c_cyclic.data(),
+                          static_cast<std::size_t>(n * n) * sizeof(double)),
+              0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, BlockVsCyclic,
+                         ::testing::Values(BlockVsCyclicCase{96, 2, false},
+                                           BlockVsCyclicCase{120, 3, false},
+                                           BlockVsCyclicCase{2048, 4, true}));
 
 TEST(CyclicGemm, BlockingMismatchThrows) {
   CyEnv env(MachineModel::testing(2, 1));

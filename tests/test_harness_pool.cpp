@@ -30,6 +30,57 @@ namespace srumma {
 namespace {
 
 // ---------------------------------------------------------------------------
+// Harness environment knobs: read strictly, never by starting a pool.
+
+TEST(HarnessEnv, WorkerCountParsesStrictly) {
+  {
+    testing::ScopedEnv e("SRUMMA_HARNESS_THREADS", "3");
+    EXPECT_EQ(exec::default_workers(), 3);
+  }
+  {
+    testing::ScopedEnv e("SRUMMA_HARNESS_THREADS", nullptr);
+    EXPECT_GE(exec::default_workers(), 1);
+  }
+  for (const char* bad : {"0", "4097", "-2", "abc", "2x", ""}) {
+    testing::ScopedEnv e("SRUMMA_HARNESS_THREADS", bad);
+    if (*bad == '\0') {
+      EXPECT_GE(exec::default_workers(), 1);  // empty reads as unset
+    } else {
+      EXPECT_THROW((void)exec::default_workers(), Error) << bad;
+    }
+  }
+}
+
+TEST(HarnessEnv, StackSizeParsesStrictly) {
+  {
+    testing::ScopedEnv e("SRUMMA_HARNESS_STACK_KB", "128");
+    EXPECT_EQ(exec::default_stack_bytes(), 128u * 1024u);
+  }
+  {
+    testing::ScopedEnv e("SRUMMA_HARNESS_STACK_KB", nullptr);
+    EXPECT_EQ(exec::default_stack_bytes(), 512u * 1024u);
+  }
+  for (const char* bad : {"63", "65537", "abc", "256k"}) {
+    testing::ScopedEnv e("SRUMMA_HARNESS_STACK_KB", bad);
+    EXPECT_THROW((void)exec::default_stack_bytes(), Error) << bad;
+  }
+}
+
+TEST(HarnessEnv, BadWorkerCountFailsTheRunBeforeAnyRankStarts) {
+  Team team(MachineModel::testing(2, 1));
+  team.set_execution(ExecMode::Pooled);  // workers from the environment
+  std::atomic<int> started{0};
+  {
+    testing::ScopedEnv e("SRUMMA_HARNESS_THREADS", "0");
+    EXPECT_THROW(team.run([&](Rank&) { ++started; }), Error);
+  }
+  EXPECT_EQ(started.load(), 0);
+  testing::ScopedEnv e("SRUMMA_HARNESS_THREADS", "1");
+  team.run([&](Rank&) { ++started; });  // the team stays usable
+  EXPECT_EQ(started.load(), 2);
+}
+
+// ---------------------------------------------------------------------------
 // Fiber-pool primitives.
 
 TEST(FiberExec, RunsEveryBodyExactlyOnce) {

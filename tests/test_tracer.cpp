@@ -21,6 +21,7 @@
 #include "trace/report.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/metrics_json.hpp"
+#include "trace/profile.hpp"
 #include "trace/tracer.hpp"
 #include "tests/helpers.hpp"
 
@@ -411,6 +412,26 @@ TEST(Tracer, EnvActivationWritesFileOnTeamDestruction) {
   std::remove(path.c_str());
 }
 
+TEST(Tracer, EnvCapacityParsesStrictly) {
+  testing::ScopedEnv trace("SRUMMA_TRACE", "unused.json");
+  {
+    testing::ScopedEnv cap("SRUMMA_TRACE_CAP", nullptr);
+    EXPECT_EQ(TracerConfig::from_env()->ring_capacity, TracerConfig{}.ring_capacity);
+  }
+  {
+    testing::ScopedEnv cap("SRUMMA_TRACE_CAP", "8");
+    EXPECT_EQ(TracerConfig::from_env()->ring_capacity, 8u);
+  }
+  for (const char* bad : {"0", "-4", "abc", "16k"}) {
+    testing::ScopedEnv cap("SRUMMA_TRACE_CAP", bad);
+    EXPECT_THROW((void)TracerConfig::from_env(), Error) << bad;
+  }
+  // Without SRUMMA_TRACE the capacity is never read.
+  testing::ScopedEnv off("SRUMMA_TRACE", nullptr);
+  testing::ScopedEnv cap("SRUMMA_TRACE_CAP", "abc");
+  EXPECT_FALSE(TracerConfig::from_env().has_value());
+}
+
 TEST(Tracer, FaultRunEventsMatchCounters) {
   // Deterministic fault injection: every recovery counter must have an
   // exactly matching traced event stream, in-flight counters must return
@@ -512,6 +533,181 @@ TEST(Tracer, MetricsJsonSchemaRoundTrips) {
   EXPECT_EQ(rows[1].at("metrics").at("wall_seconds").num, 0.25);
   EXPECT_EQ(rows[1].at("metrics").at("wall_per_virtual_second").num,
             0.25 / 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Run spans the Gantt draws, and the Gantt renderer (trace/profile.hpp).
+
+bool has_span(const std::vector<TraceEvent>& evs, Phase p) {
+  return std::any_of(evs.begin(), evs.end(), [p](const TraceEvent& e) {
+    return e.type == EvType::Span && e.phase == p && e.t0 < e.t1;
+  });
+}
+
+TEST(Tracer, RecordsComputeWaitBarrierSpans) {
+  Team team(MachineModel::testing(2, 1));
+  team.enable_tracer(TracerConfig{});
+  RmaRuntime rma(team);
+  team.run([&](Rank& me) {
+    SymmetricRegion r = rma.malloc_symmetric(me, 4096);
+    me.barrier();
+    me.charge_gemm(64, 64, 64);
+    if (me.id() == 0) {
+      RmaHandle h = rma.nbget(me, 1, r.base(1), nullptr, 4096);
+      rma.wait(me, h);  // remote transfer: the wait is non-trivial
+    }
+    me.barrier();
+  });
+  const auto ev0 = team.tracer_ptr()->events(0);
+  EXPECT_TRUE(has_span(ev0, Phase::Compute));
+  EXPECT_TRUE(has_span(ev0, Phase::Wait));
+  // Rank 1 idled into the final barrier: it must show a Barrier span.
+  EXPECT_TRUE(has_span(team.tracer_ptr()->events(1), Phase::Barrier));
+}
+
+TEST(Tracer, GetSpanRunsFromIssueToCompletion) {
+  // The Get span covers the transfer in flight (the overlap window), not
+  // the wait that consumes it.
+  Team team(MachineModel::testing(2, 1));
+  team.enable_tracer(TracerConfig{});
+  RmaRuntime rma(team);
+  RmaHandle h;
+  team.run([&](Rank& me) {
+    SymmetricRegion r = rma.malloc_symmetric(me, 64 * 64);
+    me.barrier();
+    if (me.id() == 0) {
+      Matrix dst(64, 64);
+      h = rma.nbget2d(me, 1, r.base(1), 64, 64, 64, dst.data(), 64);
+      rma.wait(me, h);
+    }
+  });
+  std::size_t gets = 0;
+  for (const TraceEvent& e : team.tracer_ptr()->events(0)) {
+    if (e.type != EvType::Span || e.phase != Phase::Get) continue;
+    ++gets;
+    EXPECT_EQ(e.t0, h.issue_vt);
+    EXPECT_EQ(e.t1, h.completion);
+    EXPECT_GT(e.t1 - e.t0, team.machine().net_latency * 0.9);
+  }
+  EXPECT_EQ(gets, 1u);
+}
+
+TEST(Tracer, TeamResetClearsEventsAndKeepsTracing) {
+  Team team(MachineModel::testing(1, 1));
+  team.enable_tracer(TracerConfig{});
+  team.run([](Rank& me) { me.charge_gemm(16, 16, 16); });
+  EXPECT_FALSE(team.tracer_ptr()->events(0).empty());
+  team.reset();
+  ASSERT_NE(team.tracer_ptr(), nullptr);
+  EXPECT_TRUE(team.tracer_ptr()->events(0).empty());
+  EXPECT_EQ(team.tracer_ptr()->recorded(0), 0u);
+}
+
+TEST(Tracer, ClusterPipelineGetsOverlapCompute) {
+  // On a cluster run the pipeline hides gets behind dgemms: some Get span
+  // of rank 0 overlaps one of its Compute spans in virtual time.
+  Team team(MachineModel::linux_myrinet(4));
+  team.enable_tracer(TracerConfig{});
+  RmaRuntime rma(team);
+  const ProcGrid g = ProcGrid::near_square(8);
+  team.run([&](Rank& me) {
+    DistMatrix a(rma, me, 1024, 1024, g, true);
+    DistMatrix b(rma, me, 1024, 1024, g, true);
+    DistMatrix c(rma, me, 1024, 1024, g, true);
+    srumma_multiply(me, a, b, c, SrummaOptions{});
+  });
+  const auto ev = team.tracer_ptr()->events(0);
+  bool overlapped = false;
+  for (const TraceEvent& get : ev) {
+    if (get.type != EvType::Span || get.phase != Phase::Get) continue;
+    for (const TraceEvent& cmp : ev) {
+      if (cmp.type == EvType::Span && cmp.phase == Phase::Compute &&
+          get.t0 < cmp.t1 && cmp.t0 < get.t1)
+        overlapped = true;
+    }
+  }
+  EXPECT_TRUE(overlapped);
+}
+
+Tracer gantt_tracer(int ranks, std::size_t capacity = 1024) {
+  TracerConfig cfg;
+  cfg.ring_capacity = capacity;
+  return Tracer(std::vector<trace::TrackInfo>(static_cast<std::size_t>(ranks)),
+                cfg);
+}
+
+std::string gantt(const Tracer& tr, double t0, double t1, int width,
+                  int max_ranks = 16) {
+  std::ostringstream os;
+  print_gantt(os, tr, t0, t1, width, max_ranks);
+  return os.str();
+}
+
+TEST(Gantt, CellShowsDominantKind) {
+  Tracer tr = gantt_tracer(3);
+  tr.span(0, Phase::Compute, 0.0, 0.6);
+  tr.span(0, Phase::Wait, 0.6, 1.0);
+  tr.span(1, Phase::Get, 0.0, 1.0);
+  // Phases outside the chart's alphabet cover everything and draw nothing.
+  tr.span(1, Phase::Multiply, 0.0, 1.0);
+  tr.span(1, Phase::Task, 0.0, 1.0);
+  tr.span(2, Phase::Acc, 0.0, 0.5);
+  tr.span(2, Phase::RecoveryWait, 0.5, 0.7);
+  tr.span(2, Phase::Noise, 0.7, 0.8);
+  tr.span(2, Phase::Barrier, 0.8, 1.0);
+  const std::string s = gantt(tr, 0.0, 1.0, 10);
+  EXPECT_NE(s.find(" 0 |CCCCCCWWWW|"), std::string::npos) << s;
+  EXPECT_NE(s.find(" 1 |GGGGGGGGGG|"), std::string::npos) << s;
+  EXPECT_NE(s.find(" 2 |PPPPPWWNBB|"), std::string::npos) << s;
+}
+
+TEST(Gantt, AutoRangeSpansDrawnEventsAndShowsIdle) {
+  Tracer tr = gantt_tracer(1);
+  tr.span(0, Phase::Compute, 1.0, 2.0);
+  tr.span(0, Phase::Multiply, 0.0, 5.0);  // not drawn: must not widen range
+  tr.instant(0, Phase::TaskIssue, 4.0);
+  const std::string s = gantt(tr, 0.0, 0.0, 20);  // auto range [0, 2]
+  EXPECT_NE(s.find("timeline [0 ms .. 2000 ms]"), std::string::npos) << s;
+  EXPECT_NE(s.find(" 0 |..........CCCCCCCCCC|"), std::string::npos) << s;
+}
+
+TEST(Gantt, CapsRanks) {
+  Tracer tr = gantt_tracer(40);
+  for (int r = 0; r < 40; ++r) tr.span(r, Phase::Compute, 0, 1);
+  const std::string s = gantt(tr, 0, 1, 20, 8);
+  EXPECT_NE(s.find(" 7 |"), std::string::npos);
+  EXPECT_EQ(s.find(" 8 |"), std::string::npos);
+  EXPECT_NE(s.find("(32 more ranks not shown)"), std::string::npos) << s;
+}
+
+TEST(Gantt, ZeroLengthSpansAreNotDrawn) {
+  Tracer tr = gantt_tracer(1);
+  tr.span(0, Phase::Wait, 1.0, 1.0);
+  EXPECT_EQ(gantt(tr, 0.0, 0.0, 10), "(timeline empty)\n");
+  tr.span(0, Phase::Compute, 0.0, 0.5);
+  const std::string s = gantt(tr, 0.0, 0.0, 10);  // range stays [0, 0.5]
+  EXPECT_NE(s.find(" 0 |CCCCCCCCCC|"), std::string::npos) << s;
+  const std::string wide = gantt(tr, 0.0, 1.0, 10);
+  EXPECT_NE(wide.find(" 0 |CCCCC.....|"), std::string::npos) << wide;
+}
+
+TEST(Gantt, RejectsNarrowWidth) {
+  Tracer tr = gantt_tracer(1);
+  tr.span(0, Phase::Compute, 0.0, 1.0);
+  EXPECT_THROW((void)gantt(tr, 0.0, 1.0, 9), Error);
+}
+
+TEST(Gantt, NotesDroppedEvents) {
+  Tracer tr = gantt_tracer(2, 4);
+  for (int i = 0; i < 6; ++i) tr.span(0, Phase::Compute, i, i + 1.0);
+  tr.span(1, Phase::Compute, 0.0, 1.0);
+  ASSERT_EQ(tr.dropped(0), 2u);
+  const std::string s = gantt(tr, 0.0, 0.0, 12);
+  EXPECT_NE(s.find("(2 trace events lost to ring overflow"), std::string::npos)
+      << s;
+  // A complete recording carries no note.
+  EXPECT_EQ(gantt(gantt_tracer(1), 0.0, 1.0, 10).find("lost"),
+            std::string::npos);
 }
 
 }  // namespace

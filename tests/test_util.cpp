@@ -1,11 +1,14 @@
-// Unit tests for src/util: matrix container and views, RNG, tables, CLI.
+// Unit tests for src/util: matrix container and views, RNG, tables, CLI,
+// and the strict environment-integer parser.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "util/aligned.hpp"
+#include "tests/helpers.hpp"
 #include "util/cli.hpp"
+#include "util/env.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -217,6 +220,42 @@ TEST(Error, MessageCarriesContext) {
     FAIL() << "should have thrown";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("something bad"), std::string::npos);
+  }
+}
+
+TEST(EnvInt, UnsetOrEmptyIsAbsent) {
+  {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", nullptr);
+    EXPECT_FALSE(env_int("SRUMMA_TEST_KNOB", 1, 8).has_value());
+  }
+  testing::ScopedEnv e("SRUMMA_TEST_KNOB", "");
+  EXPECT_FALSE(env_int("SRUMMA_TEST_KNOB", 1, 8).has_value());
+}
+
+TEST(EnvInt, AcceptsIntegersInsideTheRange) {
+  for (const char* v : {"1", "5", "8"}) {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", v);
+    EXPECT_EQ(env_int("SRUMMA_TEST_KNOB", 1, 8), std::stoll(v)) << v;
+  }
+  testing::ScopedEnv e("SRUMMA_TEST_KNOB", "-3");
+  EXPECT_EQ(env_int("SRUMMA_TEST_KNOB", -5, 0), -3);
+}
+
+TEST(EnvInt, RejectsMalformedOrOutOfRangeNamingVariableAndRange) {
+  for (const char* v : {"0", "9", "-1", "abc", "4x", " 4", "+4", "4.0",
+                        "99999999999999999999999"}) {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", v);
+    try {
+      (void)env_int("SRUMMA_TEST_KNOB", 1, 8);
+      ADD_FAILURE() << "accepted '" << v << "'";
+    } catch (const Error& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("SRUMMA_TEST_KNOB must be an integer in [1, 8]"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("got '") + v + "'"), std::string::npos)
+          << what;
+    }
   }
 }
 
