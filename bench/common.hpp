@@ -22,6 +22,7 @@
 #include "perf/model.hpp"
 #include "rma/rma.hpp"
 #include "trace/metrics_json.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -32,10 +33,7 @@ using trace::MetricsLog;
 /// SRUMMA_BENCH_SMOKE=1 shrinks problem sizes so scripts/bench_report.sh
 /// can regenerate every BENCH_*.json in seconds; the emitted schema is
 /// identical to a full run (params record the sizes actually used).
-inline bool smoke_mode() {
-  const char* v = std::getenv("SRUMMA_BENCH_SMOKE");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
+inline bool smoke_mode() { return env_flag("SRUMMA_BENCH_SMOKE"); }
 
 /// Problem size under the current mode: `full` normally, `small` in smoke.
 inline index_t smoke_n(index_t full, index_t small) {

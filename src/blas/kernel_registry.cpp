@@ -6,10 +6,10 @@
 #include "blas/kernel.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::blas {
@@ -75,8 +75,7 @@ const GemmKernel* resolve(std::string_view name) {
 
 void init_dispatch() {
   std::call_once(g_dispatch_once, [] {
-    const char* env = std::getenv("SRUMMA_GEMM_KERNEL");
-    g_active.store(resolve(env == nullptr ? "auto" : env),
+    g_active.store(resolve(env_str("SRUMMA_GEMM_KERNEL").value_or("auto")),
                    std::memory_order_release);
   });
 }

@@ -1,8 +1,6 @@
 #include "cache/block_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/env.hpp"
 #include "util/error.hpp"
@@ -10,8 +8,7 @@
 namespace srumma::cache {
 
 CacheConfig CacheConfig::from_env(CacheConfig base) {
-  if (const char* v = std::getenv("SRUMMA_CACHE"))
-    base.enabled = *v != '\0' && *v != '0';
+  base.enabled = env_flag("SRUMMA_CACHE", base.enabled);
   if (const auto cap = env_int("SRUMMA_CACHE_CAP", 0, std::int64_t{1} << 50))
     base.capacity_bytes = static_cast<std::uint64_t>(*cap);
   return base;
@@ -21,21 +18,14 @@ namespace {
 
 /// Packed (ld == rows) copy into / out of an entry's storage.
 void pack_into(AlignedVector<double>& data, ConstMatrixView src) {
-  const auto rows = static_cast<std::size_t>(src.rows());
-  data.resize(rows * static_cast<std::size_t>(src.cols()));
-  for (index_t j = 0; j < src.cols(); ++j)
-    std::memcpy(data.data() + static_cast<std::size_t>(j) * rows,
-                src.data() + j * src.ld(), rows * sizeof(double));
+  data.resize(static_cast<std::size_t>(src.rows() * src.cols()));
+  copy(src, MatrixView(data.data(), src.rows(), src.cols(), src.rows()));
 }
 
 void unpack_from(const AlignedVector<double>& data, MatrixView dst) {
-  const auto rows = static_cast<std::size_t>(dst.rows());
-  SRUMMA_REQUIRE(data.size() == rows * static_cast<std::size_t>(dst.cols()),
+  SRUMMA_REQUIRE(data.size() == static_cast<std::size_t>(dst.rows() * dst.cols()),
                  "block cache: published payload does not match the patch");
-  for (index_t j = 0; j < dst.cols(); ++j)
-    std::memcpy(dst.data() + j * dst.ld(),
-                data.data() + static_cast<std::size_t>(j) * rows,
-                rows * sizeof(double));
+  copy(ConstMatrixView(data.data(), dst.rows(), dst.cols(), dst.rows()), dst);
 }
 
 }  // namespace
@@ -111,8 +101,7 @@ bool BlockCacheSet::make_room(Rank& me, Domain& d, std::uint64_t need) {
     d.bytes -= victim->second->bytes;
     d.entries.erase(victim);
     me.trace().cache_evictions += 1;
-    if (trace::Tracer* tr = me.tracer())
-      tr->instant(me.id(), trace::Phase::CacheEvict, me.clock().now());
+    me.instant(trace::Phase::CacheEvict);
   }
   return true;
 }
@@ -257,7 +246,6 @@ void BlockCacheSet::finish_fetch(Rank& me, Ref& ref, bool publishable,
 
 void BlockCacheSet::consume_shared(Rank& me, Ref& ref, MatrixView dst) {
   SRUMMA_REQUIRE(ref.role == Role::Shared, "consume_shared: not a shared ref");
-  const MachineModel& mm = me.machine();
   VClock& clk = me.clock();
   TraceCounters& tc = me.trace();
   trace::Tracer* tr = me.tracer();
@@ -274,20 +262,11 @@ void BlockCacheSet::consume_shared(Rank& me, Ref& ref, MatrixView dst) {
       tr->span(me.id(), trace::Phase::Wait, before, ref.ready_vt);
   }
 
-  // Intra-domain copy out of the cache, mirroring the same-domain branch of
-  // RmaRuntime::transfer: the origin CPU pays latency + per-rank copy time
-  // and queues on the domain's aggregate memory system.  No fault draw —
-  // the copy is process-local, not a transport op.
+  // Intra-domain copy out of the cache, charged like any shared-memory
+  // copy (Rank::charge_shm_copy).  No fault draw — the copy is
+  // process-local, not a transport op.
   const double t0 = clk.now();
-  const double dbytes = static_cast<double>(e.bytes);
-  const double dur = dbytes / mm.shm_bw;
-  const double ready = t0 + mm.shm_latency;
-  const double agg = team_.network()
-                         .domain_mem(me.domain())
-                         .book(ready, dbytes / mm.domain_agg_bw());
-  clk.sync_to(std::max(ready + dur, agg));
-  tc.time_comm += dur;
-  tc.bytes_shm += e.bytes;
+  me.charge_shm_copy(e.bytes);
   if (tr != nullptr)
     tr->span(me.id(), trace::Phase::CacheRead, t0, clk.now(), e.bytes);
 

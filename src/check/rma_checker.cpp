@@ -1,12 +1,12 @@
 #include "check/rma_checker.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
 #include "runtime/team.hpp"
 #include "trace/journal.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::check {
@@ -91,12 +91,10 @@ namespace {
 }  // namespace
 
 bool RmaChecker::env_enabled() {
-  const char* v = std::getenv("SRUMMA_RMA_CHECK");
-  if (v != nullptr) return *v != '\0' && std::strcmp(v, "0") != 0;
 #ifdef SRUMMA_RMA_CHECK_DEFAULT
-  return true;
+  return env_flag("SRUMMA_RMA_CHECK", true);
 #else
-  return false;
+  return env_flag("SRUMMA_RMA_CHECK");
 #endif
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
@@ -11,13 +10,12 @@
 #include <utility>
 #include <vector>
 
-#include "blas/gemm.hpp"
-#include "cache/block_cache.hpp"
 #include "engine/operand.hpp"
 #include "fault/fault_plane.hpp"
 #include "runtime/abortable_wait.hpp"
 #include "runtime/team.hpp"
 #include "trace/tracer.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::engine {
@@ -35,13 +33,12 @@ namespace {
 // ---------------------------------------------------------------------------
 
 // One stealable task posted by its owner.  All claim/handback fields are
-// guarded by the owning domain's mutex; `task`, `task_idx`, `victim`,
-// `tile`, `pos` and `c_tile` are immutable after the owner registers its
+// guarded by the owning domain's mutex; `task`, `task_idx`, `tile`,
+// `pos` and `c_tile` are immutable after the owner registers its
 // board.
 struct StolenTask {
   Task task;
   std::size_t task_idx = 0;  // owner's plan index (trace arg)
-  int victim = -1;
   int tile = -1;  // owner tile id, indexes the owner's commit chain
   int pos = 0;    // position in that tile's in-plan-order commit chain
   MatrixView c_tile;  // owner's C tile (empty in phantom mode)
@@ -72,84 +69,34 @@ struct DomainBoard {
   int arrived = 0;
 };
 
+// One steal board per domain, shared by the team's ranks for one multiply
+// through a TeamSession (its lifetime rule keeps multiplies apart).  Each
+// domain's cv is registered with the Team's abort list while the session
+// lives.
 struct TeamEngine {
+  explicit TeamEngine(Team& t) : team(&t) {
+    for (int d = 0; d < t.machine().num_domains(); ++d) {
+      domains.push_back(std::make_unique<DomainBoard>());
+      abort_cv_ids.push_back(t.add_abort_cv(&domains.back()->cv));
+    }
+  }
+  ~TeamEngine() {
+    for (const std::uint64_t id : abort_cv_ids) team->remove_abort_cv(id);
+  }
+  TeamEngine(const TeamEngine&) = delete;
+  TeamEngine& operator=(const TeamEngine&) = delete;
+
+  Team* team;
   std::vector<std::unique_ptr<DomainBoard>> domains;  // by domain id
   std::vector<std::uint64_t> abort_cv_ids;            // registry slots
-  int users = 0;
 };
 
-std::mutex g_registry_mu;
-std::map<Team*, std::shared_ptr<TeamEngine>>& registry() {
-  static auto* m = new std::map<Team*, std::shared_ptr<TeamEngine>>();
-  return *m;
-}
-
-// Rendezvous on the per-team engine state.  Sound without extra barriers:
-// srumma_multiply's entry barrier precedes every construction and the
-// collect_result barriers follow every destruction, so two multiplies never
-// share a TeamEngine and a Team address is never reused while an entry for
-// it exists (guards unwind on exceptions too).
-class TeamEngineGuard {
- public:
-  explicit TeamEngineGuard(Rank& me) : team_(&me.team()) {
-    std::lock_guard<std::mutex> lk(g_registry_mu);
-    std::shared_ptr<TeamEngine>& slot = registry()[team_];
-    if (!slot) {
-      slot = std::make_shared<TeamEngine>();
-      const int nd = team_->machine().num_domains();
-      for (int d = 0; d < nd; ++d) {
-        slot->domains.push_back(std::make_unique<DomainBoard>());
-        slot->abort_cv_ids.push_back(
-            team_->add_abort_cv(&slot->domains.back()->cv));
-      }
-    }
-    slot->users += 1;
-    eng_ = slot;
-  }
-  ~TeamEngineGuard() {
-    std::lock_guard<std::mutex> lk(g_registry_mu);
-    if (--eng_->users == 0) {
-      for (const std::uint64_t id : eng_->abort_cv_ids)
-        team_->remove_abort_cv(id);
-      registry().erase(team_);
-    }
-  }
-  TeamEngineGuard(const TeamEngineGuard&) = delete;
-  TeamEngineGuard& operator=(const TeamEngineGuard&) = delete;
-
-  [[nodiscard]] DomainBoard& domain(int d) {
-    return *eng_->domains[static_cast<std::size_t>(d)];
-  }
-
- private:
-  Team* team_;
-  std::shared_ptr<TeamEngine> eng_;
-};
-
-// Model one intra-domain tile copy (steal handback traffic), mirroring the
-// same-domain branch of RmaRuntime::transfer and the cache's
-// consume_shared: the copying CPU pays latency + per-rank copy time and
-// queues on the domain's aggregate memory system.  No fault draw — the
-// copy is process-local, not a transport op.
-void charge_shm_copy(Rank& me, std::uint64_t bytes) {
-  const MachineModel& mm = me.machine();
-  VClock& clk = me.clock();
-  const double t0 = clk.now();
-  const double dbytes = static_cast<double>(bytes);
-  const double dur = dbytes / mm.shm_bw;
-  const double ready = t0 + mm.shm_latency;
-  const double agg = me.team()
-                         .network()
-                         .domain_mem(me.domain())
-                         .book(ready, dbytes / mm.domain_agg_bw());
-  clk.sync_to(std::max(ready + dur, agg));
-  me.trace().time_comm += dur;
-  me.trace().bytes_shm += bytes;
-}
-
-void copy_tile(MatrixView dst, ConstMatrixView src) {
-  for (index_t j = 0; j < dst.cols(); ++j)
-    for (index_t i = 0; i < dst.rows(); ++i) dst(i, j) = src(i, j);
+// One intra-domain copy of task `t`'s C tile (steal seed or handback),
+// charged as a shared-memory copy; `dst` is empty in phantom mode.
+void copy_tile(Rank& me, const Task& t, MatrixView dst, ConstMatrixView src) {
+  me.charge_shm_copy(static_cast<std::uint64_t>(t.cm) *
+                     static_cast<std::uint64_t>(t.cn) * sizeof(double));
+  copy(src, dst);
 }
 
 }  // namespace
@@ -187,9 +134,7 @@ std::vector<std::size_t> stealable_tasks(const TaskPlan& plan,
 bool selected(EngineMode mode) {
   if (mode == EngineMode::On) return true;
   if (mode == EngineMode::Off) return false;
-  const char* env = std::getenv("SRUMMA_ENGINE");
-  return env != nullptr && *env != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
+  return env_flag("SRUMMA_ENGINE");
 }
 
 void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
@@ -200,8 +145,8 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   const std::vector<Task>& tasks = plan.tasks;
   const std::size_t n_tasks = tasks.size();
 
-  TeamEngineGuard eng(me);
-  DomainBoard& dom = eng.domain(me.domain());
+  const TeamSession<TeamEngine> eng(me.team());
+  DomainBoard& dom = *eng->domains[static_cast<std::size_t>(me.domain())];
 
   // Fail-stop hooks: a configured kill trips at this rank's next prefetch
   // issue, chain advance or steal attempt.  Once killed the rank is a
@@ -284,12 +229,9 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     StolenTask d;
     d.task = tasks[i];
     d.task_idx = i;
-    d.victim = me.id();
     d.tile = task_tile[i];
     d.pos = task_pos[i];
-    if (!phantom)
-      d.c_tile = c.local_view(me).block(tasks[i].ci, tasks[i].cj,
-                                        tasks[i].cm, tasks[i].cn);
+    d.c_tile = own_c_tile(me, c, tasks[i]);
     desc_of_task[i] = static_cast<std::ptrdiff_t>(board->descs.size());
     board->descs.push_back(std::move(d));
   }
@@ -331,19 +273,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   }
 
   // -- cooperative block cache epoch (same policy as the static pipeline) ----
-  cache::BlockCacheSet* cache_sets[2] = {a.rma().block_cache(),
-                                         b.rma().block_cache()};
-  if (cache_sets[1] == cache_sets[0]) cache_sets[1] = nullptr;
-  const std::uint64_t cache_default_cap =
-      static_cast<std::uint64_t>(mm.domain_size()) *
-      (2 * static_cast<std::uint64_t>(lookahead) + 3) *
-      std::max(static_cast<std::uint64_t>(plan.max_a_m) *
-                   static_cast<std::uint64_t>(plan.max_a_n),
-               static_cast<std::uint64_t>(plan.max_b_m) *
-                   static_cast<std::uint64_t>(plan.max_b_n)) *
-      sizeof(double);
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->begin_epoch(me, cache_default_cap);
+  begin_cache_epoch(me, a, b, executor_cache_cap(mm, lookahead, plan));
 
   // -- executor state --------------------------------------------------------
   // Issue window: how many own tasks may hold operand slots at once.  The
@@ -356,6 +286,14 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   const std::size_t reissue_cap = 4 * n_tasks + 16;
   std::size_t reissues = 0;
 
+  // Count one operand re-arm of task `idx` against the reissue budget.
+  const auto note_rearm = [&](std::size_t idx) {
+    SRUMMA_REQUIRE(++reissues <= reissue_cap,
+                   "engine: operand reissue budget exhausted — transfers "
+                   "keep failing after RMA retries");
+    me.instant(trace::Phase::TaskRearm, idx);
+  };
+
   const auto patch_bytes = [](const Task& t, bool is_a) {
     return is_a ? static_cast<std::uint64_t>(t.a_m) *
                       static_cast<std::uint64_t>(t.a_n) * sizeof(double)
@@ -366,11 +304,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   const auto acquire_slot = [&](DistMatrix& mat, Slot& s, const Task& t,
                                 bool is_a) {
     const std::uint64_t before = s.st.cap_bytes;
-    if (is_a) {
-      acquire(me, mat, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, s.st);
-    } else {
-      acquire(me, mat, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, s.st);
-    }
+    acquire(me, mat, t, is_a, opt.shm_flavor, s.st);
     live_bytes += s.st.cap_bytes - before;
     peak_bytes = std::max(peak_bytes, live_bytes);
     s.issued = true;
@@ -429,6 +363,18 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     }
     dom.cv.notify_all();
     ++committed;
+  };
+
+  // The chain head of `tile` when a domain mate holds it (caller holds
+  // dom.mu): a pending or finished handback.
+  const auto stolen_head = [&](int tile) -> StolenTask* {
+    const auto& chain = tile_tasks[static_cast<std::size_t>(tile)];
+    const int pos = board->commits[static_cast<std::size_t>(tile)];
+    if (static_cast<std::size_t>(pos) >= chain.size()) return nullptr;
+    const std::ptrdiff_t di = desc_of_task[chain[static_cast<std::size_t>(pos)]];
+    if (di < 0) return nullptr;
+    StolenTask& d = board->descs[static_cast<std::size_t>(di)];
+    return d.thief >= 0 && d.thief != me.id() ? &d : nullptr;
   };
 
   // Earliest virtual time the task's operands can all be consumed —
@@ -497,46 +443,23 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     }
     if (d == nullptr) return false;
 
-    if (tr != nullptr)
-      tr->instant(me.id(), trace::Phase::TaskSteal, me.clock().now(),
-                  d->task_idx);
+    me.instant(trace::Phase::TaskSteal, d->task_idx);
     trace::SpanGuard steal_span(tr, me.id(), trace::Phase::Steal, me.clock(),
                                 d->task_idx);
     const Task& t = d->task;
     OperandState sa;
     OperandState sb;
-    acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
-    acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
-    for (;;) {
-      const bool af = sa.handle.pending;
-      const bool bf = sb.handle.pending;
-      if (af && !a.try_wait(me, sa.handle)) sa.failed = true;
-      if (bf && !b.try_wait(me, sb.handle)) sb.failed = true;
-      if (opt.verify_checksums) {
-        if (af) verify_operand(me, a, sa);
-        if (bf) verify_operand(me, b, sb);
-      }
-      finish_cache(me, a, sa, af, opt.verify_checksums);
-      finish_cache(me, b, sb, bf, opt.verify_checksums);
-      if (!sa.failed && !sb.failed) break;
+    acquire(me, a, t, true, opt.shm_flavor, sa);
+    acquire(me, b, t, false, opt.shm_flavor, sb);
+    const bool landed = land_pair_retrying(me, a, sa, b, sb, t, opt, [&] {
       // Fail-stop mid-steal: both handles were just drained; discard the
       // claim (the victim is a domain mate, so it is dead too).
       if (killed_now()) return false;
-      SRUMMA_REQUIRE(++reissues <= reissue_cap,
-                     "engine: operand reissue budget exhausted — transfers "
-                     "keep failing after RMA retries");
-      me.trace().task_reissues += 1;
-      if (tr != nullptr)
-        tr->instant(me.id(), trace::Phase::TaskRearm, me.clock().now(),
-                    d->task_idx);
-      if (sa.failed)
-        acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
-      if (sb.failed)
-        acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
-    }
-    if (tr != nullptr)
-      tr->instant(me.id(), trace::Phase::TaskReady, me.clock().now(),
-                  d->task_idx);
+      note_rearm(d->task_idx);
+      return true;
+    });
+    if (!landed) return false;
+    me.instant(trace::Phase::TaskReady, d->task_idx);
 
     // Wait (real time) for the predecessor products of the owner's tile,
     // then sync our clock to that commit: the tile bytes we copy exist only
@@ -563,34 +486,19 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       if (pred_vt > me.clock().now()) me.clock().sync_to(pred_vt);
     }
 
-    const std::uint64_t tile_bytes = static_cast<std::uint64_t>(t.cm) *
-                                     static_cast<std::uint64_t>(t.cn) *
-                                     sizeof(double);
-    charge_shm_copy(me, tile_bytes);
+    // Same kernel, operand values and beta=1 accumulation as the owner
+    // would run, so the handed-back tile is bitwise what the owner would
+    // have computed.  The C-tile traffic is engine-internal
+    // (mutex-synchronized scratch), so it is not declared against the
+    // owner's write epochs.
     Matrix scratch;
+    MatrixView sv;
     if (!phantom) {
       scratch = Matrix(t.cm, t.cn);
-      copy_tile(scratch.block(0, 0, t.cm, t.cn), d->c_tile);
-      // Same kernel, operand values and beta=1 accumulation as the owner
-      // would run, so the handed-back tile is bitwise what the owner would
-      // have computed.  Operand reads are declared like any compute; the
-      // C-tile traffic is engine-internal (mutex-synchronized scratch), so
-      // it is not declared against the owner's write epochs.
-      if (a.rma().checker() != nullptr) {
-        a.rma().declare_compute_read(me, sa.view.data(), sa.view.rows(),
-                                     sa.view.cols(), sa.view.ld());
-        b.rma().declare_compute_read(me, sb.view.data(), sb.view.rows(),
-                                     sb.view.cols(), sb.view.ld());
-      }
-      MatrixView sv = scratch.block(0, 0, t.cm, t.cn);
-      blas::gemm(opt.ta, opt.tb, opt.alpha, sa.view, sb.view, 1.0, sv);
+      sv = scratch.block(0, 0, t.cm, t.cn);
     }
-    me.charge_gemm(t.cm, t.cn, t.kk, std::min(sa.rate_factor, sb.rate_factor));
-    if (sa.direct && sb.direct) {
-      me.trace().direct_tasks += 1;
-    } else {
-      me.trace().copy_tasks += 1;
-    }
+    copy_tile(me, t, sv, d->c_tile);
+    block_product(me, opt, t, a, sa, b, sb, sv, nullptr);
     me.trace().tasks_stolen += 1;
     {
       std::lock_guard<std::mutex> lk(dom.mu);
@@ -621,8 +529,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       }
       d.thief = me.id();  // self-claim; thieves skip it from now on
     }
-    if (tr != nullptr)
-      tr->instant(me.id(), trace::Phase::TaskIssue, me.clock().now(), idx);
+    me.instant(trace::Phase::TaskIssue, idx);
     const Task& t = tasks[idx];
     Slot& sa = slots[static_cast<std::size_t>(a_slot[idx])];
     Slot& sb = slots[static_cast<std::size_t>(b_slot[idx])];
@@ -670,39 +577,14 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     wait_slot(a, sa);
     wait_slot(b, sb);
     if (sa.st.failed || sb.st.failed) {
-      SRUMMA_REQUIRE(reissues < reissue_cap,
-                     "engine: operand reissue budget exhausted — transfers "
-                     "keep failing after RMA retries");
-      ++reissues;
+      note_rearm(idx);
       me.trace().task_reissues += 1;
-      if (tr != nullptr)
-        tr->instant(me.id(), trace::Phase::TaskRearm, me.clock().now(), idx);
       if (sa.st.failed) acquire_slot(a, sa, t, true);
       if (sb.st.failed) acquire_slot(b, sb, t, false);
       return false;
     }
-    if (tr != nullptr)
-      tr->instant(me.id(), trace::Phase::TaskReady, me.clock().now(), idx);
-    if (!phantom) {
-      MatrixView c_tile = c.local_view(me).block(t.ci, t.cj, t.cm, t.cn);
-      if (a.rma().checker() != nullptr) {
-        a.rma().declare_compute_read(me, sa.st.view.data(), sa.st.view.rows(),
-                                     sa.st.view.cols(), sa.st.view.ld());
-        b.rma().declare_compute_read(me, sb.st.view.data(), sb.st.view.rows(),
-                                     sb.st.view.cols(), sb.st.view.ld());
-        c.rma().declare_compute_write(me, c_tile.data(), c_tile.rows(),
-                                      c_tile.cols(), c_tile.ld());
-      }
-      blas::gemm(opt.ta, opt.tb, opt.alpha, sa.st.view, sb.st.view, 1.0,
-                 c_tile);
-    }
-    me.charge_gemm(t.cm, t.cn, t.kk,
-                   std::min(sa.st.rate_factor, sb.st.rate_factor));
-    if (sa.st.direct && sb.st.direct) {
-      me.trace().direct_tasks += 1;
-    } else {
-      me.trace().copy_tasks += 1;
-    }
+    me.instant(trace::Phase::TaskReady, idx);
+    block_product(me, opt, t, a, sa.st, b, sb.st, own_c_tile(me, c, t), &c);
     me.trace().engine_tasks += 1;
     commit(task_tile[idx]);
     sa.inflight -= 1;
@@ -731,17 +613,11 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       pub = d.publish_vt;
     }
     if (pub > me.clock().now()) me.clock().sync_to(pub);
-    const std::uint64_t tile_bytes = static_cast<std::uint64_t>(d.task.cm) *
-                                     static_cast<std::uint64_t>(d.task.cn) *
-                                     sizeof(double);
-    charge_shm_copy(me, tile_bytes);
-    if (!phantom) {
-      if (c.rma().checker() != nullptr)
-        c.rma().declare_compute_write(me, d.c_tile.data(), d.c_tile.rows(),
-                                      d.c_tile.cols(), d.c_tile.ld());
-      copy_tile(d.c_tile, d.result.block(0, 0, d.task.cm, d.task.cn));
-      d.result = Matrix{};
-    }
+    if (!phantom && c.rma().checker() != nullptr)
+      c.rma().declare_compute_write(me, d.c_tile.data(), d.c_tile.rows(),
+                                    d.c_tile.cols(), d.c_tile.ld());
+    copy_tile(me, d.task, d.c_tile, d.result.view());
+    d.result = Matrix{};
     commit(d.tile);
   };
 
@@ -781,20 +657,14 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     bool pending_hb = false;
     {
       std::lock_guard<std::mutex> lk(dom.mu);
-      for (int tile = 0; tile < n_tiles; ++tile) {
-        const auto& chain = tile_tasks[static_cast<std::size_t>(tile)];
-        const int pos = board->commits[static_cast<std::size_t>(tile)];
-        if (static_cast<std::size_t>(pos) >= chain.size()) continue;
-        const std::size_t head = chain[static_cast<std::size_t>(pos)];
-        const std::ptrdiff_t di = desc_of_task[head];
-        if (di < 0) continue;
-        StolenTask& d = board->descs[static_cast<std::size_t>(di)];
-        if (d.thief < 0 || d.thief == me.id()) continue;
-        if (d.done) {
-          ready_hb = &d;
-          break;
+      for (int tile = 0; tile < n_tiles && ready_hb == nullptr; ++tile) {
+        StolenTask* d = stolen_head(tile);
+        if (d == nullptr) continue;
+        if (d->done) {
+          ready_hb = d;
+        } else {
+          pending_hb = true;
         }
-        pending_hb = true;
       }
     }
 
@@ -831,14 +701,8 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       park_until(lk, dom.cv, [&] {
         if (me.team().aborted() || killed_now()) return true;
         for (int tile = 0; tile < n_tiles; ++tile) {
-          const auto& chain = tile_tasks[static_cast<std::size_t>(tile)];
-          const int pos = board->commits[static_cast<std::size_t>(tile)];
-          if (static_cast<std::size_t>(pos) >= chain.size()) continue;
-          const std::ptrdiff_t di =
-              desc_of_task[chain[static_cast<std::size_t>(pos)]];
-          if (di < 0) continue;
-          const StolenTask& d = board->descs[static_cast<std::size_t>(di)];
-          if (d.thief >= 0 && d.thief != me.id() && d.done) return true;
+          const StolenTask* d = stolen_head(tile);
+          if (d != nullptr && d->done) return true;
         }
         return false;
       });
@@ -859,12 +723,8 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
     // the domain's cache/checker state stays balanced; committed products
     // stay committed (the ledger counts them once on this rank), and the
     // uncommitted remainder is adopted by survivors from the replicas.
-    for (Slot& s : slots) {
-      if (s.mat == nullptr) continue;
-      const bool fetched = s.st.handle.pending;
-      if (fetched) s.mat->try_wait(me, s.st.handle);
-      finish_cache(me, *s.mat, s.st, fetched, false);
-    }
+    for (Slot& s : slots)
+      if (s.mat != nullptr) drain(me, *s.mat, s.st);
     dom.cv.notify_all();  // wake any mate still parked on this domain's cv
   }
 
@@ -877,10 +737,7 @@ void run_plan(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   // result is collected — so adoption replays panels from cache instead of
   // refetching them.  kill_enabled() is rank-uniform; the tripped state is
   // not yet, so it must not steer the drop.
-  fault::FaultPlane* fplane = me.team().faults();
-  const bool keep_warm = fplane != nullptr && fplane->kill_enabled();
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->end_epoch(me, keep_warm);
+  end_cache_epoch(me, a, b, /*keep_warm=*/kill_active);
 }
 
 }  // namespace srumma::engine

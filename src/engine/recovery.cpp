@@ -5,11 +5,10 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "blas/gemm.hpp"
-#include "cache/block_cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/operand.hpp"
 #include "runtime/team.hpp"
@@ -39,32 +38,9 @@ struct RecoveryGuard::Session {
   std::map<int, Deposit> deposits;  // rank id -> plan + options
   std::vector<LostChain> chains;    // built once, after the declaration
   bool chains_built = false;
-  int users = 0;
 };
 
-std::mutex& RecoveryGuard::registry_mu() {
-  static auto* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<Team*, std::shared_ptr<RecoveryGuard::Session>>&
-RecoveryGuard::registry() {
-  static auto* m = new std::map<Team*, std::shared_ptr<Session>>();
-  return *m;
-}
-
-RecoveryGuard::RecoveryGuard(Rank& me) : team_(&me.team()) {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  std::shared_ptr<Session>& slot = registry()[team_];
-  if (!slot) slot = std::make_shared<Session>();
-  slot->users += 1;
-  ses_ = slot;
-}
-
-RecoveryGuard::~RecoveryGuard() {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  if (--ses_->users == 0) registry().erase(team_);
-}
+RecoveryGuard::RecoveryGuard(Rank& me) : ses_(me.team()) {}
 
 void RecoveryGuard::deposit(Rank& me, const TaskPlan& plan,
                             const SrummaOptions& opt) {
@@ -73,6 +49,19 @@ void RecoveryGuard::deposit(Rank& me, const TaskPlan& plan,
 }
 
 namespace {
+
+// Wait on a replica seed or tile store, re-issuing it through `reissue`
+// (each re-issue one task_reissue) until it lands.
+template <class Reissue>
+void settle(Rank& me, DistMatrix& c, PatchHandle& h, const char* what,
+            Reissue&& reissue) {
+  for (int tries = 0; !c.try_wait(me, h);) {
+    SRUMMA_REQUIRE(++tries <= 16, std::string("recovery: ") + what +
+                                      " keeps failing after retries");
+    me.trace().task_reissues += 1;
+    h = reissue();
+  }
+}
 
 // Replay a contiguous range of lost chains from the buddy replicas.  Each
 // chain's scratch tile starts from the replica's post-beta snapshot and
@@ -157,11 +146,9 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
   };
   std::vector<Inflight> fl(depth);
   const auto issue = [&](std::size_t i) {
-    const Task& t = *stream[i].t;
-    const SrummaOptions& opt = tiles[stream[i].tile].dep->opt;
-    Inflight& f = fl[i % depth];
-    acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, f.sa);
-    acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, f.sb);
+    const ShmFlavor flavor = tiles[stream[i].tile].dep->opt.shm_flavor;
+    acquire(me, a, *stream[i].t, true, flavor, fl[i % depth].sa);
+    acquire(me, b, *stream[i].t, false, flavor, fl[i % depth].sb);
   };
   for (std::size_t i = 0; i < depth; ++i) issue(i);
 
@@ -174,56 +161,23 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       adopt_span.emplace(me.tracer(), me.id(), trace::Phase::Adopt,
                          me.clock(),
                          static_cast<std::uint64_t>(tl.ch->dead_rank));
-      for (int tries = 0; tl.seeded;) {
-        if (c.try_wait(me, tl.seed)) break;
-        SRUMMA_REQUIRE(
-            ++tries <= 16,
-            "recovery: replica seed fetch keeps failing after retries");
-        me.trace().task_reissues += 1;
-        tl.seed = c.fetch_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
-      }
+      if (tl.seeded)
+        settle(me, c, tl.seed, "replica seed fetch", [&] {
+          return c.fetch_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
+        });
     }
     OperandState& sa = fl[ti % depth].sa;
     OperandState& sb = fl[ti % depth].sb;
     int reissues = 0;
-    for (;;) {
-      const bool af = sa.handle.pending;
-      const bool bf = sb.handle.pending;
-      if (af && !a.try_wait(me, sa.handle)) sa.failed = true;
-      if (bf && !b.try_wait(me, sb.handle)) sb.failed = true;
-      if (opt.verify_checksums) {
-        if (af) verify_operand(me, a, sa);
-        if (bf) verify_operand(me, b, sb);
-      }
-      finish_cache(me, a, sa, af, opt.verify_checksums);
-      finish_cache(me, b, sb, bf, opt.verify_checksums);
-      if (!sa.failed && !sb.failed) break;
+    land_pair_retrying(me, a, sa, b, sb, t, opt, [&] {
       SRUMMA_REQUIRE(++reissues <= 16,
                      "recovery: adopted-task operand keeps failing after "
                      "retries");
-      me.trace().task_reissues += 1;
-      if (sa.failed)
-        acquire(me, a, t.a_i0, t.a_j0, t.a_m, t.a_n, opt.shm_flavor, sa);
-      if (sb.failed)
-        acquire(me, b, t.b_i0, t.b_j0, t.b_m, t.b_n, opt.shm_flavor, sb);
-    }
-    if (!phantom) {
-      if (a.rma().checker() != nullptr) {
-        a.rma().declare_compute_read(me, sa.view.data(), sa.view.rows(),
-                                     sa.view.cols(), sa.view.ld());
-        b.rma().declare_compute_read(me, sb.view.data(), sb.view.rows(),
-                                     sb.view.cols(), sb.view.ld());
-      }
-      // Scratch is adopter-local (like a thief's), so the C-tile write is
-      // not declared against put epochs; the store below is.
-      blas::gemm(opt.ta, opt.tb, opt.alpha, sa.view, sb.view, 1.0, tl.sv);
-    }
-    me.charge_gemm(t.cm, t.cn, t.kk, std::min(sa.rate_factor, sb.rate_factor));
-    if (sa.direct && sb.direct) {
-      me.trace().direct_tasks += 1;
-    } else {
-      me.trace().copy_tasks += 1;
-    }
+      return true;
+    });
+    // Scratch is adopter-local (like a thief's), so the C-tile write is
+    // not declared against put epochs; the store below is.
+    block_product(me, opt, t, a, sa, b, sb, tl.sv, nullptr);
     me.trace().tasks_adopted += 1;
     if (ti + depth < stream.size()) issue(ti + depth);
     if (stream[ti].last) {
@@ -233,16 +187,10 @@ void adopt_range(Rank& me, DistMatrix& a, DistMatrix& b, DistMatrix& c,
       adopt_span.reset();
     }
   }
-  for (Tile& tl : tiles) {
-    for (int tries = 0;;) {
-      if (c.try_wait(me, tl.store)) break;
-      SRUMMA_REQUIRE(++tries <= 16,
-                     "recovery: reconstructed-tile store keeps failing after "
-                     "retries");
-      me.trace().task_reissues += 1;
-      tl.store = c.store_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
-    }
-  }
+  for (Tile& tl : tiles)
+    settle(me, c, tl.store, "reconstructed-tile store", [&] {
+      return c.store_nb(me, tl.gi, tl.gj, tl.cm, tl.cn, tl.sv);
+    });
 }
 
 }  // namespace
@@ -266,9 +214,7 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
   // observes the tripped kill and declares the domain dead, whether or not
   // any of its own transfers drained with DomainDead.
   fp->declare_dead(kd);
-  if (trace::Tracer* tr = me.tracer())
-    tr->instant(me.id(), trace::Phase::DomainDead, me.clock().now(),
-                static_cast<std::uint64_t>(kd));
+  me.instant(trace::Phase::DomainDead, static_cast<std::uint64_t>(kd));
   // Make the declaration (and with it the replica redirect) team-wide
   // before any adoption traffic is issued.
   me.barrier();
@@ -278,9 +224,6 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
 
   // Adoption reads flow through the cooperative cache exactly like executor
   // operand fetches: several adopters of one dead rank share its A panels.
-  cache::BlockCacheSet* cache_sets[2] = {a.rma().block_cache(),
-                                         b.rma().block_cache()};
-  if (cache_sets[1] == cache_sets[0]) cache_sets[1] = nullptr;
   // Size the recovery epoch for the whole replayed working set — every A/B
   // panel the dead ranks' plans touch — so each surviving domain fetches a
   // panel at most once (single-flight) and replays the rest from cache; an
@@ -300,8 +243,7 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
   // panels survivors fetched during the run — including the dead ranks'
   // own A/B blocks, cached under the matrix-level region seq that replica
   // redirect preserves — serve adoption reads without touching the wire.
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->begin_epoch(me, cache_cap, /*keep_warm=*/true);
+  begin_cache_epoch(me, a, b, cache_cap, /*keep_warm=*/true);
 
   if (!zombie) {
     // Build the chain list once: every dead rank's commit chains, in
@@ -408,8 +350,7 @@ void RecoveryGuard::run(Rank& me, DistMatrix& a, DistMatrix& b,
     adopt_range(me, a, b, c, ses_->chains, lo, hi, ses_->deposits);
   }
 
-  for (cache::BlockCacheSet* cset : cache_sets)
-    if (cset != nullptr) cset->end_epoch(me);
+  end_cache_epoch(me, a, b, /*keep_warm=*/false);
   // Repairs published before anyone gathers or reuses the matrices.
   me.barrier();
 }

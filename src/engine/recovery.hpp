@@ -21,27 +21,20 @@
 //      it back — the store redirects into the buddy replica, where
 //      gather_to serves dead-domain blocks from.
 //
-// The guard registry is keyed by Team* with the same lifetime discipline as
-// the engine's steal boards: srumma_multiply's entry barrier precedes every
-// construction and collect_result's barriers follow every destruction, so
-// two multiplies never share a session.
-
-#include <map>
-#include <memory>
-#include <mutex>
+// The ranks share one recovery session per multiply through a TeamSession
+// (runtime/team.hpp), the same per-team registry as the engine's steal
+// boards.
 
 #include "core/options.hpp"
 #include "core/task_plan.hpp"
 #include "dist/dist_matrix.hpp"
+#include "runtime/team.hpp"
 
 namespace srumma::engine {
 
 class RecoveryGuard {
  public:
   explicit RecoveryGuard(Rank& me);
-  ~RecoveryGuard();
-  RecoveryGuard(const RecoveryGuard&) = delete;
-  RecoveryGuard& operator=(const RecoveryGuard&) = delete;
 
   /// Record this rank's plan and tuned options for possible adoption.
   /// Must run before FaultPlane::arm_kills so a rank can never die
@@ -55,10 +48,7 @@ class RecoveryGuard {
 
  private:
   struct Session;
-  static std::mutex& registry_mu();
-  static std::map<Team*, std::shared_ptr<Session>>& registry();
-  Team* team_;
-  std::shared_ptr<Session> ses_;
+  TeamSession<Session> ses_;
 };
 
 }  // namespace srumma::engine

@@ -1,9 +1,11 @@
 #include "fault/fault_plane.hpp"
 
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -32,78 +34,56 @@ std::uint64_t combine(std::uint64_t seed, std::uint64_t stream,
   return x;
 }
 
-bool env_flag_present(const char* name, bool& any) {
-  if (std::getenv(name) != nullptr) any = true;
-  return any;
-}
-
-void parse_double(const char* name, double& out, bool& any) {
-  if (const char* v = std::getenv(name)) {
-    out = std::strtod(v, nullptr);
-    any = true;
+bool read_kill_point(KillPoint& out) {
+  const std::optional<std::string> v = env_str("SRUMMA_FAULT_KILL_POINT");
+  if (!v) return false;
+  constexpr std::pair<const char*, KillPoint> kPoints[] = {
+      {"none", KillPoint::None},       {"prefetch", KillPoint::Prefetch},
+      {"chain", KillPoint::Chain},     {"steal", KillPoint::Steal},
+      {"barrier", KillPoint::Barrier}};
+  for (const auto& [name, point] : kPoints) {
+    if (*v == name) {
+      out = point;
+      return true;
+    }
   }
-}
-
-void parse_int(const char* name, int& out, bool& any) {
-  if (const char* v = std::getenv(name)) {
-    out = static_cast<int>(std::strtol(v, nullptr, 10));
-    any = true;
-  }
-}
-
-void parse_u64(const char* name, std::uint64_t& out, bool& any) {
-  if (const char* v = std::getenv(name)) {
-    out = std::strtoull(v, nullptr, 10);
-    any = true;
-  }
-}
-
-void parse_kill_point(const char* name, KillPoint& out, bool& any) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return;
-  any = true;
-  const std::string s(v);
-  if (s == "none" || s.empty()) {
-    out = KillPoint::None;
-  } else if (s == "prefetch") {
-    out = KillPoint::Prefetch;
-  } else if (s == "chain") {
-    out = KillPoint::Chain;
-  } else if (s == "steal") {
-    out = KillPoint::Steal;
-  } else if (s == "barrier") {
-    out = KillPoint::Barrier;
-  } else {
-    SRUMMA_REQUIRE(false,
-                   "SRUMMA_FAULT_KILL_POINT: expected one of "
-                   "prefetch|chain|steal|barrier|none, got \"" +
-                       s + "\"");
-  }
+  SRUMMA_REQUIRE(false,
+                 "SRUMMA_FAULT_KILL_POINT: expected one of "
+                 "prefetch|chain|steal|barrier|none, got \"" +
+                     *v + "\"");
+  return false;
 }
 
 }  // namespace
 
 std::optional<FaultConfig> FaultConfig::from_env() {
+  // Ranges mirror the FaultPlane constructor's checks; domain ids are
+  // bounded by the machine there (-1 = none).
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr double kMax = std::numeric_limits<double>::max();
   FaultConfig cfg;
-  bool any = false;
-  parse_u64("SRUMMA_FAULT_SEED", cfg.seed, any);
-  parse_double("SRUMMA_FAULT_FAIL_RATE", cfg.fail_rate, any);
-  parse_double("SRUMMA_FAULT_CORRUPT_RATE", cfg.corrupt_rate, any);
-  parse_double("SRUMMA_FAULT_DELAY_RATE", cfg.delay_rate, any);
-  parse_double("SRUMMA_FAULT_DELAY_FACTOR", cfg.delay_factor, any);
-  parse_int("SRUMMA_FAULT_STRAGGLER_NODE", cfg.straggler_node, any);
-  parse_double("SRUMMA_FAULT_STRAGGLER_FACTOR", cfg.straggler_factor, any);
-  parse_int("SRUMMA_FAULT_DEAD_DOMAIN", cfg.dead_domain, any);
-  parse_int("SRUMMA_FAULT_KILL_DOMAIN", cfg.kill_domain, any);
-  parse_kill_point("SRUMMA_FAULT_KILL_POINT", cfg.kill_point, any);
-  parse_double("SRUMMA_FAULT_KILL_AFTER_VTIME", cfg.kill_after_vtime, any);
-  parse_int("SRUMMA_FAULT_BUDDY_OFFSET", cfg.buddy_offset, any);
-  parse_int("SRUMMA_FAULT_ONLY_RANK", cfg.only_rank, any);
-  parse_int("SRUMMA_FAULT_ONLY_PEER", cfg.only_peer, any);
-  parse_u64("SRUMMA_FAULT_FIRST_OP", cfg.first_op, any);
-  parse_u64("SRUMMA_FAULT_LAST_OP", cfg.last_op, any);
-  parse_double("SRUMMA_FAULT_AFTER_VTIME", cfg.after_vtime, any);
-  env_flag_present("SRUMMA_FAULT", any);  // bare switch: defaults, no faults
+  bool any = env_read("SRUMMA_FAULT_SEED", cfg.seed, 0, kMaxU64);
+  any |= env_read("SRUMMA_FAULT_FAIL_RATE", cfg.fail_rate, 0.0, 1.0);
+  any |= env_read("SRUMMA_FAULT_CORRUPT_RATE", cfg.corrupt_rate, 0.0, 1.0);
+  any |= env_read("SRUMMA_FAULT_DELAY_RATE", cfg.delay_rate, 0.0, 1.0);
+  any |= env_read("SRUMMA_FAULT_DELAY_FACTOR", cfg.delay_factor, 1.0, kMax);
+  any |= env_read("SRUMMA_FAULT_STRAGGLER_NODE", cfg.straggler_node, -1,
+                  kMaxInt);
+  any |= env_read("SRUMMA_FAULT_STRAGGLER_FACTOR", cfg.straggler_factor, 1.0,
+                  kMax);
+  any |= env_read("SRUMMA_FAULT_DEAD_DOMAIN", cfg.dead_domain, -1, kMaxInt);
+  any |= env_read("SRUMMA_FAULT_KILL_DOMAIN", cfg.kill_domain, -1, kMaxInt);
+  any |= read_kill_point(cfg.kill_point);
+  any |= env_read("SRUMMA_FAULT_KILL_AFTER_VTIME", cfg.kill_after_vtime, 0.0,
+                  kMax);
+  any |= env_read("SRUMMA_FAULT_BUDDY_OFFSET", cfg.buddy_offset, 1, kMaxInt);
+  any |= env_read("SRUMMA_FAULT_ONLY_RANK", cfg.only_rank, -1, kMaxInt);
+  any |= env_read("SRUMMA_FAULT_ONLY_PEER", cfg.only_peer, -1, kMaxInt);
+  any |= env_read("SRUMMA_FAULT_FIRST_OP", cfg.first_op, 0, kMaxU64);
+  any |= env_read("SRUMMA_FAULT_LAST_OP", cfg.last_op, 0, kMaxU64);
+  any |= env_read("SRUMMA_FAULT_AFTER_VTIME", cfg.after_vtime, 0.0, kMax);
+  any |= env_flag("SRUMMA_FAULT");  // bare switch: defaults, no faults
   if (!any) return std::nullopt;
   return cfg;
 }

@@ -3,26 +3,26 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "cache/block_cache.hpp"
 #include "runtime/abortable_wait.hpp"
 #include "trace/tracer.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma {
 
 RetryPolicy RetryPolicy::from_env(RetryPolicy base) {
-  if (const char* v = std::getenv("SRUMMA_FAULT_MAX_ATTEMPTS"))
-    base.max_attempts = static_cast<int>(std::strtol(v, nullptr, 10));
-  if (const char* v = std::getenv("SRUMMA_FAULT_BACKOFF_BASE"))
-    base.backoff_base = std::strtod(v, nullptr);
-  if (const char* v = std::getenv("SRUMMA_FAULT_BACKOFF_MULT"))
-    base.backoff_mult = std::strtod(v, nullptr);
-  if (const char* v = std::getenv("SRUMMA_FAULT_OP_TIMEOUT"))
-    base.op_timeout = std::strtod(v, nullptr);
+  // Ranges mirror the RmaRuntime constructor's policy check.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  env_read("SRUMMA_FAULT_MAX_ATTEMPTS", base.max_attempts, 1,
+           std::numeric_limits<int>::max());
+  env_read("SRUMMA_FAULT_BACKOFF_BASE", base.backoff_base, 0.0, kMax);
+  env_read("SRUMMA_FAULT_BACKOFF_MULT", base.backoff_mult, 1.0, kMax);
+  env_read("SRUMMA_FAULT_OP_TIMEOUT", base.op_timeout, 0.0, kMax);
   return base;
 }
 
@@ -186,26 +186,18 @@ RmaHandle RmaRuntime::transfer(Rank& me, int owner, std::size_t bytes,
     }
   }
 
-  const double dbytes = static_cast<double>(bytes);
   if (mm.same_domain(me.id(), owner)) {
     // Intra-domain: a block memory copy executed by the *origin CPU* — it
     // cannot be overlapped with computation, so the cost is charged to the
     // clock synchronously.  The copy also queues on the domain's aggregate
     // memory system, so many ranks copying at once see reduced bandwidth.
-    double dur = dbytes / mm.shm_bw;
-    if (fp != nullptr) dur *= fd.delay;
-    const double ready = t0 + mm.shm_latency;
-    const double agg = team_.network()
-                           .domain_mem(mm.domain_of(me.id()))
-                           .book(ready, dbytes / mm.domain_agg_bw());
-    me.clock().sync_to(std::max(ready + dur, agg));
+    h.duration = me.charge_shm_copy(bytes, fd.delay);
     h.completion = me.clock().now();
-    h.duration = dur;
-    me.trace().bytes_shm += bytes;
   } else {
     // Inter-node RMA: the request travels to the target (t_s), then the
     // payload serializes on the source node's egress NIC and the
     // destination node's ingress NIC.
+    const double dbytes = static_cast<double>(bytes);
     const double ready = t0 + mm.net_latency;
     double dur = dbytes / mm.net_bw;
     if (!zero_copy_) {
@@ -223,20 +215,9 @@ RmaHandle RmaRuntime::transfer(Rank& me, int owner, std::size_t bytes,
     h.completion = std::max(c1, c2);
     h.duration = dur;
     me.trace().bytes_remote += bytes;
+    me.trace().time_comm += dur;
   }
-  me.trace().time_comm += h.duration;
   return h;
-}
-
-void RmaRuntime::copy2d(const double* src, index_t ld_src, index_t rows,
-                        index_t cols, double* dst, index_t ld_dst) {
-  if (src == nullptr || dst == nullptr) return;  // phantom transfer
-  SRUMMA_REQUIRE(ld_src >= rows && ld_dst >= rows,
-                 "copy2d: leading dimensions too small");
-  for (index_t j = 0; j < cols; ++j) {
-    std::memcpy(dst + j * ld_dst, src + j * ld_src,
-                static_cast<std::size_t>(rows) * sizeof(double));
-  }
 }
 
 namespace {
@@ -309,87 +290,79 @@ RmaHandle RmaRuntime::nbget(Rank& me, int owner, const double* src,
   return h;
 }
 
+RmaHandle RmaRuntime::issue2d(Rank& me, const ReplayOp& op, const char* name,
+                              std::source_location site) {
+  validate2d(name, op.owner, op.ld_src, op.rows, op.cols, op.ld_dst);
+  const bool get = op.kind == ReplayOp::Kind::Get2d;
+  const std::size_t bytes = static_cast<std::size_t>(op.rows) *
+                            static_cast<std::size_t>(op.cols) * sizeof(double);
+  RmaHandle h = transfer(me, op.owner, bytes, get);
+  h.op = op;
+  if (checker_) {
+    // The owner's side is the source of a get and the destination of a put
+    // or accumulate.
+    const check::Footprint src = shape(op.rows, op.cols, op.ld_src);
+    const check::Footprint dst = shape(op.rows, op.cols, op.ld_dst);
+    h.check_id =
+        get ? checker_->on_issue(me.id(), check::OpKind::Get, op.owner, op.src,
+                                 src, op.dst, dst, site)
+            : checker_->on_issue(me.id(),
+                                 op.kind == ReplayOp::Kind::Acc2d
+                                     ? check::OpKind::Acc
+                                     : check::OpKind::Put,
+                                 op.owner, op.dst, dst, op.src, src, site);
+  }
+  return h;
+}
+
+RmaHandle RmaRuntime::copy_op2d(Rank& me, const ReplayOp& op,
+                                std::source_location site) {
+  const bool get = op.kind == ReplayOp::Kind::Get2d;
+  RmaHandle h = issue2d(me, op, get ? "nbget2d" : "nbput2d", site);
+  if (!h.failed && op.src != nullptr && op.dst != nullptr) {  // not phantom
+    copy(ConstMatrixView(op.src, op.rows, op.cols, op.ld_src),
+         MatrixView(op.dst, op.rows, op.cols, op.ld_dst));
+    if (h.corrupted && op.rows > 0 && op.cols > 0) {
+      fault::FaultPlane::corrupt_payload(
+          op.dst, op.ld_dst, op.rows, op.cols,
+          corrupt_salt(me.id(), op.owner, h.issue_vt));
+      me.trace().faults_corrupted += 1;
+    }
+  }
+  (get ? me.trace().gets : me.trace().puts) += 1;
+  trace_issue(team_.tracer_ptr(), me.id(),
+              get ? trace::Phase::Get : trace::Phase::Put, h);
+  return h;
+}
+
 RmaHandle RmaRuntime::nbget2d(Rank& me, int owner, const double* src,
                               index_t ld_src, index_t rows, index_t cols,
                               double* dst, index_t ld_dst,
                               std::source_location site) {
-  validate2d("nbget2d", owner, ld_src, rows, cols, ld_dst);
-  const std::size_t bytes =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
-      sizeof(double);
-  RmaHandle h = transfer(me, owner, bytes, /*is_get=*/true);
-  h.op.kind = ReplayOp::Kind::Get2d;
-  h.op.owner = owner;
-  h.op.src = src;
-  h.op.ld_src = ld_src;
-  h.op.rows = rows;
-  h.op.cols = cols;
-  h.op.dst = dst;
-  h.op.ld_dst = ld_dst;
-  if (checker_) {
-    h.check_id = checker_->on_issue(me.id(), check::OpKind::Get, owner, src,
-                                    shape(rows, cols, ld_src), dst,
-                                    shape(rows, cols, ld_dst), site);
-  }
-  if (!h.failed) {
-    copy2d(src, ld_src, rows, cols, dst, ld_dst);
-    if (h.corrupted && src != nullptr && dst != nullptr && rows > 0 &&
-        cols > 0) {
-      fault::FaultPlane::corrupt_payload(
-          dst, ld_dst, rows, cols, corrupt_salt(me.id(), owner, h.issue_vt));
-      me.trace().faults_corrupted += 1;
-    }
-  }
-  me.trace().gets += 1;
-  trace_issue(team_.tracer_ptr(), me.id(), trace::Phase::Get, h);
-  return h;
+  return copy_op2d(me,
+                   {ReplayOp::Kind::Get2d, owner, 0.0, src, ld_src, rows, cols,
+                    dst, ld_dst},
+                   site);
 }
 
 RmaHandle RmaRuntime::nbput2d(Rank& me, int owner, const double* src,
                               index_t ld_src, index_t rows, index_t cols,
                               double* dst, index_t ld_dst,
                               std::source_location site) {
-  validate2d("nbput2d", owner, ld_src, rows, cols, ld_dst);
-  const std::size_t bytes =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
-      sizeof(double);
-  RmaHandle h = transfer(me, owner, bytes, /*is_get=*/false);
-  h.op.kind = ReplayOp::Kind::Put2d;
-  h.op.owner = owner;
-  h.op.src = src;
-  h.op.ld_src = ld_src;
-  h.op.rows = rows;
-  h.op.cols = cols;
-  h.op.dst = dst;
-  h.op.ld_dst = ld_dst;
-  if (checker_) {
-    h.check_id = checker_->on_issue(me.id(), check::OpKind::Put, owner, dst,
-                                    shape(rows, cols, ld_dst), src,
-                                    shape(rows, cols, ld_src), site);
-  }
-  if (!h.failed) {
-    copy2d(src, ld_src, rows, cols, dst, ld_dst);
-    if (h.corrupted && src != nullptr && dst != nullptr && rows > 0 &&
-        cols > 0) {
-      fault::FaultPlane::corrupt_payload(
-          dst, ld_dst, rows, cols, corrupt_salt(me.id(), owner, h.issue_vt));
-      me.trace().faults_corrupted += 1;
-    }
-  }
-  me.trace().puts += 1;
-  trace_issue(team_.tracer_ptr(), me.id(), trace::Phase::Put, h);
-  return h;
+  return copy_op2d(me,
+                   {ReplayOp::Kind::Put2d, owner, 0.0, src, ld_src, rows, cols,
+                    dst, ld_dst},
+                   site);
 }
 
 RmaHandle RmaRuntime::nbacc2d(Rank& me, int owner, double alpha,
                               const double* src, index_t ld_src, index_t rows,
                               index_t cols, double* dst, index_t ld_dst,
                               std::source_location site) {
-  validate2d("nbacc2d", owner, ld_src, rows, cols, ld_dst);
-  const std::size_t bytes =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) *
-      sizeof(double);
-  RmaHandle h = transfer(me, owner, bytes, /*is_get=*/false);
+  RmaHandle h = issue2d(me,
+                        {ReplayOp::Kind::Acc2d, owner, alpha, src, ld_src,
+                         rows, cols, dst, ld_dst},
+                        "nbacc2d", site);
   // Accumulates are exempt from the corruption channel: the read-modify-
   // write could not be redone after a detected corruption (it is not
   // idempotent), so only fail/delay apply.  The same non-idempotence exempts
@@ -397,20 +370,8 @@ RmaHandle RmaRuntime::nbacc2d(Rank& me, int owner, double alpha,
   // wait_impl — only a *failed* attempt (no add performed, see below) is
   // ever replayed.
   h.corrupted = false;
-  h.op.kind = ReplayOp::Kind::Acc2d;
-  h.op.owner = owner;
-  h.op.alpha = alpha;
-  h.op.src = src;
-  h.op.ld_src = ld_src;
-  h.op.rows = rows;
-  h.op.cols = cols;
-  h.op.dst = dst;
-  h.op.ld_dst = ld_dst;
-  if (checker_) {
-    h.check_id = checker_->on_issue(me.id(), check::OpKind::Acc, owner, dst,
-                                    shape(rows, cols, ld_dst), src,
-                                    shape(rows, cols, ld_src), site);
-  }
+  const std::size_t bytes = static_cast<std::size_t>(rows) *
+                            static_cast<std::size_t>(cols) * sizeof(double);
   if (bytes > 0 && !h.failed) {
     // The read-modify-write always runs on the owner's host CPU, even on
     // zero-copy networks: charge the add to the owner (remote) or to the
@@ -507,8 +468,7 @@ RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, double timeout,
         // accumulate would apply alpha*src a second time.  The overrun is
         // still counted; the attempt is kept.
         me.trace().rma_op_timeouts += 1;
-        if (trace::Tracer* tr = team_.tracer_ptr())
-          tr->instant(me.id(), trace::Phase::OpTimeout, me.clock().now());
+        me.instant(trace::Phase::OpTimeout);
         if (h.op.kind != ReplayOp::Kind::Acc2d) attempt_failed = true;
       }
       // The attempt is consumed either way: retire its in-flight counters
@@ -553,9 +513,8 @@ RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, double timeout,
           fp->declare_dead(target_domain);
           h.status = RmaStatus::DomainDead;
           me.trace().rma_domain_dead += 1;
-          if (trace::Tracer* tr = team_.tracer_ptr())
-            tr->instant(me.id(), trace::Phase::DomainDead, me.clock().now(),
-                        static_cast<std::uint64_t>(target_domain));
+          me.instant(trace::Phase::DomainDead,
+                     static_cast<std::uint64_t>(target_domain));
           return RmaStatus::DomainDead;
         }
       }
@@ -610,9 +569,7 @@ RmaStatus RmaRuntime::wait_impl(Rank& me, RmaHandle& h, double timeout,
       }
     }
     me.trace().rma_retries += 1;
-    if (trace::Tracer* tr = team_.tracer_ptr())
-      tr->instant(me.id(), trace::Phase::Retry, me.clock().now(),
-                  static_cast<std::uint64_t>(h.attempts));
+    me.instant(trace::Phase::Retry, static_cast<std::uint64_t>(h.attempts));
 
     // Re-issue through the public nb* path: a fresh checker-visible op with
     // its own check_id (never a double wait) and a fresh fault draw.

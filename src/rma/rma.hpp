@@ -316,8 +316,6 @@ class RmaRuntime {
   };
 
   RmaHandle transfer(Rank& me, int owner, std::size_t bytes, bool is_get);
-  void copy2d(const double* src, index_t ld_src, index_t rows, index_t cols,
-              double* dst, index_t ld_dst);
 
   /// Shared completion path: retries failed attempts per retry_; with
   /// timeout >= 0, gives up (leaving the handle pending) once the deadline
@@ -338,6 +336,12 @@ class RmaRuntime {
     }
     return f;
   }
+  /// Shared front half of the strided nb* ops: validates `op`, models its
+  /// transfer, records it for replay and registers it with the checker.
+  RmaHandle issue2d(Rank& me, const ReplayOp& op, const char* name,
+                    std::source_location site);
+  /// nbget2d / nbput2d: issue2d, then the copy (and injected corruption).
+  RmaHandle copy_op2d(Rank& me, const ReplayOp& op, std::source_location site);
   /// Shared argument validation for the strided nb* entry points.
   void validate2d(const char* op, int owner, index_t ld_src, index_t rows,
                   index_t cols, index_t ld_dst) const;

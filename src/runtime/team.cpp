@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <thread>
 
 #include "runtime/fiber_exec.hpp"
 #include "trace/chrome_trace.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -19,6 +18,10 @@ int Rank::domain() const noexcept { return team_->machine().domain_of(id_); }
 const MachineModel& Rank::machine() const noexcept { return team_->machine(); }
 
 trace::Tracer* Rank::tracer() noexcept { return team_->tracer_ptr(); }
+
+void Rank::instant(trace::Phase ph, std::uint64_t arg) {
+  if (trace::Tracer* tr = tracer()) tr->instant(id_, ph, clock_.now(), arg);
+}
 
 void Rank::barrier() { team_->barrier_wait(*this); }
 
@@ -36,6 +39,21 @@ void Rank::charge_gemm(index_t m, index_t n, index_t k, double rate_factor) {
   trace_.flops += gemm_flops(static_cast<double>(m), static_cast<double>(n),
                              static_cast<double>(k));
   consume_cpu(dt);
+}
+
+double Rank::charge_shm_copy(std::uint64_t bytes, double delay) {
+  const MachineModel& mm = machine();
+  const double t0 = clock_.now();
+  const double dbytes = static_cast<double>(bytes);
+  const double dur = dbytes / mm.shm_bw * delay;
+  const double ready = t0 + mm.shm_latency;
+  const double agg = team_->network()
+                         .domain_mem(domain())
+                         .book(ready, dbytes / mm.domain_agg_bw());
+  clock_.sync_to(std::max(ready + dur, agg));
+  trace_.time_comm += dur;
+  trace_.bytes_shm += bytes;
+  return dur;
 }
 
 void Rank::charge_seconds(double dt) {
@@ -120,9 +138,10 @@ Rank& Team::rank(int id) {
 namespace {
 
 ExecMode mode_from_env() {
-  const char* s = std::getenv("SRUMMA_HARNESS");
-  if (s != nullptr && std::strcmp(s, "threads") == 0) return ExecMode::Threads;
-  return ExecMode::Pooled;
+  const std::string s = env_str("SRUMMA_HARNESS").value_or("pooled");
+  SRUMMA_REQUIRE(s == "pooled" || s == "threads",
+                 "SRUMMA_HARNESS must be pooled or threads, got '" + s + "'");
+  return s == "threads" ? ExecMode::Threads : ExecMode::Pooled;
 }
 
 }  // namespace
@@ -276,8 +295,7 @@ void Team::barrier_wait(Rank& me) {
     fp->reach_kill_point(fault::KillPoint::Barrier, me.domain(),
                          me.clock().now());
   if (has_epoch_observers_.load(std::memory_order_acquire)) {
-    if (trace::Tracer* tr = tracer_.get())
-      tr->instant(me.id(), trace::Phase::Epoch, me.clock().now());
+    me.instant(trace::Phase::Epoch);
     notify_epoch_observers(me.id());
   }
 

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_plane.hpp"
@@ -63,6 +64,10 @@ class Rank {
   /// RMA checker and the fault plane).
   [[nodiscard]] trace::Tracer* tracer() noexcept;
 
+  /// Record an instant event on this rank's track at its clock's now (no-op
+  /// when tracing is off).
+  void instant(trace::Phase ph, std::uint64_t arg = 0);
+
   /// Synchronize all ranks; every clock advances to the team max plus the
   /// modeled tree-barrier cost.
   void barrier();
@@ -74,6 +79,12 @@ class Rank {
 
   /// Charge an arbitrary modeled duration (seconds).
   void charge_seconds(double dt);
+
+  /// Charge an intra-domain copy of `bytes` run by this rank's CPU: shm
+  /// latency plus `delay` times the copy time, queued on the domain's
+  /// aggregate memory system, synchronously on the clock.  Counts time_comm
+  /// and bytes_shm; returns the copy duration.
+  double charge_shm_copy(std::uint64_t bytes, double delay = 1.0);
 
   // -- used by Team::reset --------------------------------------------------
   void reset_noise();
@@ -232,6 +243,57 @@ class Team {
   double barrier_max_ = 0.0;
   double barrier_release_ = 0.0;
   std::atomic<bool> aborted_{false};
+};
+
+/// Per-team state S shared by the ranks of one collective call: the first
+/// rank to open a TeamSession<S> on a team creates it (from the Team when S
+/// accepts one), the last one out drops it.  Sessions live between the
+/// call's entry and exit barriers and unwind on exceptions, so two calls
+/// never share an S and a Team address is never reused while it is open.
+template <class S>
+class TeamSession {
+ public:
+  explicit TeamSession(Team& team) : team_(&team) {
+    std::lock_guard<std::mutex> lk(registry_mu());
+    Entry& e = registry()[team_];
+    if (!e.state) {
+      if constexpr (std::is_constructible_v<S, Team&>) {
+        e.state = std::make_shared<S>(team);
+      } else {
+        e.state = std::make_shared<S>();
+      }
+    }
+    e.users += 1;
+    state_ = e.state;
+  }
+  ~TeamSession() {
+    std::lock_guard<std::mutex> lk(registry_mu());
+    const auto it = registry().find(team_);
+    if (--it->second.users == 0) registry().erase(it);
+  }
+  TeamSession(const TeamSession&) = delete;
+  TeamSession& operator=(const TeamSession&) = delete;
+
+  [[nodiscard]] S& operator*() const noexcept { return *state_; }
+  [[nodiscard]] S* operator->() const noexcept { return state_.get(); }
+
+ private:
+  struct Entry {
+    std::shared_ptr<S> state;
+    int users = 0;
+  };
+  using Registry = std::map<Team*, Entry>;
+  static std::mutex& registry_mu() {
+    static auto* mu = new std::mutex();
+    return *mu;
+  }
+  static Registry& registry() {
+    static auto* m = new Registry();
+    return *m;
+  }
+
+  Team* team_;
+  std::shared_ptr<S> state_;
 };
 
 }  // namespace srumma

@@ -9,24 +9,12 @@
 #include "dist/dist_matrix.hpp"
 #include "dist/grid.hpp"
 #include "trace/chrome_trace.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::service {
 
 namespace {
-
-double env_double(const char* name, double dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  SRUMMA_REQUIRE(end != v, std::string(name) + ": not a number");
-  return x;
-}
-
-int env_int(const char* name, int dflt) {
-  return static_cast<int>(env_double(name, static_cast<double>(dflt)));
-}
 
 /// One attempt of one job on a fresh sub-team of `lease.nodes` nodes —
 /// the single execution path shared by the service and run_standalone, so
@@ -129,24 +117,18 @@ const char* state_name(JobState s) {
 }
 
 ServiceConfig ServiceConfig::from_env() {
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr double kMax = std::numeric_limits<double>::max();
   ServiceConfig cfg;
-  cfg.queue_cap = env_int("SRUMMA_SERVICE_QUEUE_CAP", cfg.queue_cap);
-  cfg.max_inflight = env_int("SRUMMA_SERVICE_MAX_INFLIGHT", cfg.max_inflight);
-  cfg.flops_per_node =
-      env_double("SRUMMA_SERVICE_FLOPS_PER_NODE", cfg.flops_per_node);
-  cfg.batch_flops = env_double("SRUMMA_SERVICE_BATCH_FLOPS", cfg.batch_flops);
-  cfg.batch_max = env_int("SRUMMA_SERVICE_BATCH_MAX", cfg.batch_max);
-  cfg.retries = env_int("SRUMMA_SERVICE_RETRIES", cfg.retries);
-  cfg.age_boost = env_double("SRUMMA_SERVICE_AGE_BOOST", cfg.age_boost);
-  if (const char* p = std::getenv("SRUMMA_SERVICE_TRACE");
-      p != nullptr && *p != '\0') {
-    cfg.trace_path = p;
-  }
-  SRUMMA_REQUIRE(cfg.queue_cap >= 0 && cfg.max_inflight >= 0 &&
-                     cfg.flops_per_node > 0 && cfg.batch_flops >= 0 &&
-                     cfg.batch_max >= 1 && cfg.retries >= 0 &&
-                     cfg.age_boost >= 0,
-                 "SRUMMA_SERVICE_*: knob out of range");
+  env_read("SRUMMA_SERVICE_QUEUE_CAP", cfg.queue_cap, 0, kMaxInt);
+  env_read("SRUMMA_SERVICE_MAX_INFLIGHT", cfg.max_inflight, 0, kMaxInt);
+  env_read("SRUMMA_SERVICE_FLOPS_PER_NODE", cfg.flops_per_node,
+           std::numeric_limits<double>::min(), kMax);
+  env_read("SRUMMA_SERVICE_BATCH_FLOPS", cfg.batch_flops, 0.0, kMax);
+  env_read("SRUMMA_SERVICE_BATCH_MAX", cfg.batch_max, 1, kMaxInt);
+  env_read("SRUMMA_SERVICE_RETRIES", cfg.retries, 0, kMaxInt);
+  env_read("SRUMMA_SERVICE_AGE_BOOST", cfg.age_boost, 0.0, kMax);
+  cfg.trace_path = env_str("SRUMMA_SERVICE_TRACE").value_or(cfg.trace_path);
   return cfg;
 }
 

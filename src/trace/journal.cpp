@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace srumma::trace {
@@ -90,8 +91,7 @@ void JournalWriter::record(const JournalRecord& r) {
 }
 
 std::string journal_env_path() {
-  const char* v = std::getenv("SRUMMA_RMA_JOURNAL");
-  return v == nullptr ? std::string{} : std::string{v};
+  return env_str("SRUMMA_RMA_JOURNAL").value_or(std::string{});
 }
 
 namespace {

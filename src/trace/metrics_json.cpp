@@ -1,14 +1,23 @@
 #include "trace/metrics_json.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+
+#include "util/env.hpp"
 
 namespace srumma::trace {
 
 namespace {
 
-std::string num(double v) {
+// wall / virtual; 0 when the row has no virtual-time denominator.
+double wall_per_vs(double wall_seconds, double virtual_seconds) {
+  return virtual_seconds > 0.0 ? wall_seconds / virtual_seconds : 0.0;
+}
+
+}  // namespace
+
+std::string json_number(double v) {
   std::ostringstream os;
   // 17 significant digits: doubles round-trip exactly, so cross-mode
   // bitwise-identity checks (bench_scale pooled vs threads) can compare
@@ -18,12 +27,7 @@ std::string num(double v) {
   return os.str();
 }
 
-// wall / virtual; 0 when the row has no virtual-time denominator.
-double wall_per_vs(double wall_seconds, double virtual_seconds) {
-  return virtual_seconds > 0.0 ? wall_seconds / virtual_seconds : 0.0;
-}
-
-std::string escape(const std::string& s) {
+std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -33,63 +37,32 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-void emit_map(std::ostream& os, const NumberMap& m) {
+void emit_json_map(std::ostream& os, const NumberMap& m) {
   os << "{";
   bool first = true;
   for (const auto& [k, v] : m) {
-    os << (first ? "" : ",") << "\"" << escape(k) << "\":" << num(v);
+    os << (first ? "" : ",") << "\"" << json_escape(k)
+       << "\":" << json_number(v);
     first = false;
   }
   os << "}";
 }
 
-}  // namespace
-
 std::string counters_json(const TraceCounters& t) {
-  // Keep in lockstep with TraceCounters (the sizeof guard in
-  // trace/report.cpp trips when a field is added without updating the
-  // serializers).
   std::ostringstream os;
-  os << "{"
-     << "\"time_compute\":" << num(t.time_compute)
-     << ",\"gemm_calls\":" << t.gemm_calls
-     << ",\"flops\":" << num(t.flops)
-     << ",\"time_comm\":" << num(t.time_comm)
-     << ",\"time_wait\":" << num(t.time_wait)
-     << ",\"time_noise\":" << num(t.time_noise)
-     << ",\"bytes_shm\":" << t.bytes_shm
-     << ",\"bytes_remote\":" << t.bytes_remote
-     << ",\"bytes_msg\":" << t.bytes_msg
-     << ",\"gets\":" << t.gets
-     << ",\"puts\":" << t.puts
-     << ",\"sends\":" << t.sends
-     << ",\"recvs\":" << t.recvs
-     << ",\"direct_tasks\":" << t.direct_tasks
-     << ",\"copy_tasks\":" << t.copy_tasks
-     << ",\"buffer_bytes_peak\":" << t.buffer_bytes_peak
-     << ",\"faults_injected\":" << t.faults_injected
-     << ",\"faults_corrupted\":" << t.faults_corrupted
-     << ",\"faults_delayed\":" << t.faults_delayed
-     << ",\"rma_retries\":" << t.rma_retries
-     << ",\"rma_op_timeouts\":" << t.rma_op_timeouts
-     << ",\"rma_domain_dead\":" << t.rma_domain_dead
-     << ",\"task_requeues\":" << t.task_requeues
-     << ",\"task_reissues\":" << t.task_reissues
-     << ",\"shm_fallbacks\":" << t.shm_fallbacks
-     << ",\"checksum_redos\":" << t.checksum_redos
-     << ",\"time_recovery\":" << num(t.time_recovery)
-     << ",\"cache_hits\":" << t.cache_hits
-     << ",\"cache_joins\":" << t.cache_joins
-     << ",\"cache_misses\":" << t.cache_misses
-     << ",\"cache_bypasses\":" << t.cache_bypasses
-     << ",\"cache_evictions\":" << t.cache_evictions
-     << ",\"cache_rearms\":" << t.cache_rearms
-     << ",\"cache_refetches\":" << t.cache_refetches
-     << ",\"cache_bytes_saved\":" << t.cache_bytes_saved
-     << ",\"engine_tasks\":" << t.engine_tasks
-     << ",\"tasks_stolen\":" << t.tasks_stolen
-     << ",\"tasks_adopted\":" << t.tasks_adopted
-     << "}";
+  const char* sep = "{";
+  for_each_counter([&](const char* name, auto field, CounterAgg) {
+    os << sep << "\"" << name << "\":";
+    // Integer counters print as integers, real-valued ones round-trip.
+    if constexpr (std::is_same_v<decltype(field),
+                                 double TraceCounters::*>) {
+      os << json_number(t.*field);
+    } else {
+      os << t.*field;
+    }
+    sep = ",";
+  });
+  os << "}";
   return os.str();
 }
 
@@ -130,14 +103,14 @@ void MetricsLog::add_metrics(const std::string& label, NumberMap metrics,
 std::string MetricsLog::json() const {
   std::ostringstream os;
   os << "{\"schema\":\"srumma-bench-metrics/1\",\"bench\":\""
-     << escape(bench_) << "\",\"rows\":[";
+     << json_escape(bench_) << "\",\"rows\":[";
   bool first = true;
   for (const Row& row : rows_) {
-    os << (first ? "" : ",") << "\n  {\"label\":\"" << escape(row.label)
+    os << (first ? "" : ",") << "\n  {\"label\":\"" << json_escape(row.label)
        << "\",\"params\":";
-    emit_map(os, row.params);
+    emit_json_map(os, row.params);
     os << ",\"metrics\":";
-    emit_map(os, row.metrics);
+    emit_json_map(os, row.metrics);
     if (row.counters) {
       os << ",\"counters\":" << counters_json(*row.counters);
     }
@@ -148,22 +121,15 @@ std::string MetricsLog::json() const {
   return os.str();
 }
 
-bool MetricsLog::write_file(const std::string& path) const {
-  std::ofstream f(path, std::ios::trunc);
+bool write_env_json(const std::string& doc) {
+  const std::optional<std::string> path = env_str("SRUMMA_BENCH_JSON");
+  if (!path) return true;
+  std::ofstream f(*path, std::ios::trunc);
   if (!f) return false;
-  f << json();
+  f << doc;
   return static_cast<bool>(f);
 }
 
-std::string MetricsLog::env_path() {
-  const char* p = std::getenv("SRUMMA_BENCH_JSON");
-  return p != nullptr ? std::string(p) : std::string();
-}
-
-bool MetricsLog::write_env() const {
-  const std::string path = env_path();
-  if (path.empty()) return true;
-  return write_file(path);
-}
+bool MetricsLog::write_env() const { return write_env_json(json()); }
 
 }  // namespace srumma::trace

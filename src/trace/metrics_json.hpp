@@ -29,6 +29,7 @@
 // BENCH_*.json files from different PRs stay comparable.
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +44,18 @@ namespace srumma::trace {
 
 /// Named (key, value) pairs; keys are emitted in insertion order.
 using NumberMap = std::vector<std::pair<std::string, double>>;
+
+/// A double as a JSON number with 17 significant digits (round-trips).
+[[nodiscard]] std::string json_number(double v);
+/// `s` with '"' and '\\' escaped, for a JSON string body.
+[[nodiscard]] std::string json_escape(const std::string& s);
+/// `m` as a JSON object, keys in insertion order.
+void emit_json_map(std::ostream& os, const NumberMap& m);
+
+/// Write `doc` to the path in SRUMMA_BENCH_JSON; a no-op when it is unset.
+/// Returns false only on I/O error.  Every bench metrics document
+/// (MetricsLog, the service metrics) is written through here.
+bool write_env_json(const std::string& doc);
 
 class MetricsLog {
  public:
@@ -68,13 +81,10 @@ class MetricsLog {
 
   [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
   [[nodiscard]] std::string json() const;
-  bool write_file(const std::string& path) const;
 
-  /// SRUMMA_BENCH_JSON, or "" when unset — benches call write_env() once at
-  /// exit; with the variable unset it is a no-op, so plain bench runs keep
+  /// write_env_json(json()) — benches call it once at exit; with
+  /// SRUMMA_BENCH_JSON unset it is a no-op, so plain bench runs keep
   /// printing tables only.
-  [[nodiscard]] static std::string env_path();
-  /// Write json() to env_path() when set.  Returns false only on I/O error.
   bool write_env() const;
 
  private:

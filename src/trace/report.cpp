@@ -4,55 +4,12 @@
 
 namespace srumma {
 
-// Trips when TraceCounters grows: every field must be handled in
-// trace_delta below, operator+= (vtime/trace_counters.hpp) and
-// counters_json (trace/metrics_json.cpp), with its SUM/MAX aggregation
-// documented on the field.
-static_assert(sizeof(TraceCounters) == 38 * sizeof(double),
-              "TraceCounters changed — update trace_delta, operator+=, "
-              "counters_json and the per-field aggregation comments");
-
 TraceCounters trace_delta(const TraceCounters& end, const TraceCounters& start) {
   TraceCounters d;
-  d.time_compute = end.time_compute - start.time_compute;
-  d.gemm_calls = end.gemm_calls - start.gemm_calls;
-  d.flops = end.flops - start.flops;
-  d.time_comm = end.time_comm - start.time_comm;
-  d.time_wait = end.time_wait - start.time_wait;
-  d.time_noise = end.time_noise - start.time_noise;
-  d.bytes_shm = end.bytes_shm - start.bytes_shm;
-  d.bytes_remote = end.bytes_remote - start.bytes_remote;
-  d.bytes_msg = end.bytes_msg - start.bytes_msg;
-  d.gets = end.gets - start.gets;
-  d.puts = end.puts - start.puts;
-  d.sends = end.sends - start.sends;
-  d.recvs = end.recvs - start.recvs;
-  d.direct_tasks = end.direct_tasks - start.direct_tasks;
-  d.copy_tasks = end.copy_tasks - start.copy_tasks;
   // High-water marks are not differenced; the delta carries the end value.
-  d.buffer_bytes_peak = end.buffer_bytes_peak;
-  d.faults_injected = end.faults_injected - start.faults_injected;
-  d.faults_corrupted = end.faults_corrupted - start.faults_corrupted;
-  d.faults_delayed = end.faults_delayed - start.faults_delayed;
-  d.rma_retries = end.rma_retries - start.rma_retries;
-  d.rma_op_timeouts = end.rma_op_timeouts - start.rma_op_timeouts;
-  d.rma_domain_dead = end.rma_domain_dead - start.rma_domain_dead;
-  d.task_requeues = end.task_requeues - start.task_requeues;
-  d.task_reissues = end.task_reissues - start.task_reissues;
-  d.shm_fallbacks = end.shm_fallbacks - start.shm_fallbacks;
-  d.checksum_redos = end.checksum_redos - start.checksum_redos;
-  d.time_recovery = end.time_recovery - start.time_recovery;
-  d.cache_hits = end.cache_hits - start.cache_hits;
-  d.cache_joins = end.cache_joins - start.cache_joins;
-  d.cache_misses = end.cache_misses - start.cache_misses;
-  d.cache_bypasses = end.cache_bypasses - start.cache_bypasses;
-  d.cache_evictions = end.cache_evictions - start.cache_evictions;
-  d.cache_rearms = end.cache_rearms - start.cache_rearms;
-  d.cache_refetches = end.cache_refetches - start.cache_refetches;
-  d.cache_bytes_saved = end.cache_bytes_saved - start.cache_bytes_saved;
-  d.engine_tasks = end.engine_tasks - start.engine_tasks;
-  d.tasks_stolen = end.tasks_stolen - start.tasks_stolen;
-  d.tasks_adopted = end.tasks_adopted - start.tasks_adopted;
+  for_each_counter([&](const char*, auto field, CounterAgg agg) {
+    d.*field = agg == CounterAgg::Max ? end.*field : end.*field - start.*field;
+  });
   return d;
 }
 

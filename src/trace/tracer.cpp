@@ -1,6 +1,6 @@
 #include "trace/tracer.hpp"
 
-#include <cstdlib>
+#include <utility>
 
 #include "util/env.hpp"
 
@@ -62,10 +62,10 @@ const char* counter_name(CounterId c) {
 }
 
 std::optional<TracerConfig> TracerConfig::from_env() {
-  const char* path = std::getenv("SRUMMA_TRACE");
-  if (path == nullptr || *path == '\0') return std::nullopt;
+  std::optional<std::string> path = env_str("SRUMMA_TRACE");
+  if (!path) return std::nullopt;
   TracerConfig cfg;
-  cfg.path = path;
+  cfg.path = std::move(*path);
   if (const auto cap =
           env_int("SRUMMA_TRACE_CAP", 1, std::int64_t{1} << 32))
     cfg.ring_capacity = static_cast<std::size_t>(*cap);

@@ -8,11 +8,13 @@
 // Aggregation: every field is summed across ranks (operator+=) and
 // differenced across run snapshots (trace_delta) EXCEPT buffer_bytes_peak,
 // which is a per-run high-water mark — MAX across ranks, end value across
-// snapshots.  When adding a field, update operator+= below, trace_delta and
-// the sizeof guard in trace/report.cpp, and counters_json in
-// trace/metrics_json.cpp (docs/OBSERVABILITY.md documents the schema).
+// snapshots.  for_each_counter below is the one field list: operator+=,
+// trace_delta (trace/report.cpp) and counters_json (trace/metrics_json.cpp)
+// all walk it, so a new field is added to the struct and to that list,
+// nowhere else (docs/OBSERVABILITY.md documents the JSON schema).
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 namespace srumma {
@@ -116,47 +118,74 @@ struct TraceCounters {
     return w;
   }
 
-  TraceCounters& operator+=(const TraceCounters& o) {
-    time_compute += o.time_compute;
-    gemm_calls += o.gemm_calls;
-    flops += o.flops;
-    time_comm += o.time_comm;
-    time_wait += o.time_wait;
-    time_noise += o.time_noise;
-    bytes_shm += o.bytes_shm;
-    bytes_remote += o.bytes_remote;
-    bytes_msg += o.bytes_msg;
-    gets += o.gets;
-    puts += o.puts;
-    sends += o.sends;
-    recvs += o.recvs;
-    direct_tasks += o.direct_tasks;
-    copy_tasks += o.copy_tasks;
-    buffer_bytes_peak = std::max(buffer_bytes_peak, o.buffer_bytes_peak);
-    faults_injected += o.faults_injected;
-    faults_corrupted += o.faults_corrupted;
-    faults_delayed += o.faults_delayed;
-    rma_retries += o.rma_retries;
-    rma_op_timeouts += o.rma_op_timeouts;
-    rma_domain_dead += o.rma_domain_dead;
-    task_requeues += o.task_requeues;
-    task_reissues += o.task_reissues;
-    shm_fallbacks += o.shm_fallbacks;
-    checksum_redos += o.checksum_redos;
-    time_recovery += o.time_recovery;
-    cache_hits += o.cache_hits;
-    cache_joins += o.cache_joins;
-    cache_misses += o.cache_misses;
-    cache_bypasses += o.cache_bypasses;
-    cache_evictions += o.cache_evictions;
-    cache_rearms += o.cache_rearms;
-    cache_refetches += o.cache_refetches;
-    cache_bytes_saved += o.cache_bytes_saved;
-    engine_tasks += o.engine_tasks;
-    tasks_stolen += o.tasks_stolen;
-    tasks_adopted += o.tasks_adopted;
-    return *this;
-  }
+  TraceCounters& operator+=(const TraceCounters& o);
 };
+
+/// How a counter combines across ranks: summed, or a high-water mark.
+enum class CounterAgg : std::uint8_t { Sum, Max };
+
+/// Call f(name, member pointer, aggregation) once per TraceCounters field,
+/// in declaration order (the order of the "counters" JSON block).  Member
+/// pointers are `double TraceCounters::*` or `std::uint64_t
+/// TraceCounters::*`.
+template <class F>
+constexpr void for_each_counter(F&& f) {
+  using T = TraceCounters;
+  constexpr CounterAgg S = CounterAgg::Sum;
+  f("time_compute", &T::time_compute, S);
+  f("gemm_calls", &T::gemm_calls, S);
+  f("flops", &T::flops, S);
+  f("time_comm", &T::time_comm, S);
+  f("time_wait", &T::time_wait, S);
+  f("time_noise", &T::time_noise, S);
+  f("bytes_shm", &T::bytes_shm, S);
+  f("bytes_remote", &T::bytes_remote, S);
+  f("bytes_msg", &T::bytes_msg, S);
+  f("gets", &T::gets, S);
+  f("puts", &T::puts, S);
+  f("sends", &T::sends, S);
+  f("recvs", &T::recvs, S);
+  f("direct_tasks", &T::direct_tasks, S);
+  f("copy_tasks", &T::copy_tasks, S);
+  f("buffer_bytes_peak", &T::buffer_bytes_peak, CounterAgg::Max);
+  f("faults_injected", &T::faults_injected, S);
+  f("faults_corrupted", &T::faults_corrupted, S);
+  f("faults_delayed", &T::faults_delayed, S);
+  f("rma_retries", &T::rma_retries, S);
+  f("rma_op_timeouts", &T::rma_op_timeouts, S);
+  f("rma_domain_dead", &T::rma_domain_dead, S);
+  f("task_requeues", &T::task_requeues, S);
+  f("task_reissues", &T::task_reissues, S);
+  f("shm_fallbacks", &T::shm_fallbacks, S);
+  f("checksum_redos", &T::checksum_redos, S);
+  f("time_recovery", &T::time_recovery, S);
+  f("cache_hits", &T::cache_hits, S);
+  f("cache_joins", &T::cache_joins, S);
+  f("cache_misses", &T::cache_misses, S);
+  f("cache_bypasses", &T::cache_bypasses, S);
+  f("cache_evictions", &T::cache_evictions, S);
+  f("cache_rearms", &T::cache_rearms, S);
+  f("cache_refetches", &T::cache_refetches, S);
+  f("cache_bytes_saved", &T::cache_bytes_saved, S);
+  f("engine_tasks", &T::engine_tasks, S);
+  f("tasks_stolen", &T::tasks_stolen, S);
+  f("tasks_adopted", &T::tasks_adopted, S);
+}
+
+// Every field is 8 bytes, so the size pins the list to the struct: a field
+// added to one but not the other trips this.
+static_assert([] {
+  std::size_t n = 0;
+  for_each_counter([&](const char*, auto, CounterAgg) { ++n; });
+  return n * 8 == sizeof(TraceCounters);
+}(), "TraceCounters and for_each_counter list different fields");
+
+inline TraceCounters& TraceCounters::operator+=(const TraceCounters& o) {
+  for_each_counter([&](const char*, auto field, CounterAgg agg) {
+    this->*field = agg == CounterAgg::Max ? std::max(this->*field, o.*field)
+                                          : this->*field + o.*field;
+  });
+  return *this;
+}
 
 }  // namespace srumma

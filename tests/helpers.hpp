@@ -13,6 +13,7 @@
 #include "machine/machine.hpp"
 #include "rma/rma.hpp"
 #include "runtime/team.hpp"
+#include "util/error.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -63,5 +64,19 @@ class ScopedEnv {
   std::string name_;
   std::optional<std::string> old_;
 };
+
+/// Runs `fn` with `name` set to `value` and expects an Error whose message
+/// names the variable.
+template <class F>
+void expect_env_rejected(const char* name, const char* value, F&& fn) {
+  ScopedEnv e(name, value);
+  try {
+    fn();
+    ADD_FAILURE() << name << "='" << value << "' was accepted";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find(name), std::string::npos)
+        << err.what();
+  }
+}
 
 }  // namespace srumma::testing

@@ -89,17 +89,7 @@ SrummaOptions tiled_copy_options() {
 TEST(BlockCache, OffByDefaultAndExplicitlyDisabled) {
   // This test is about the *defaults*, so shield it from the cache-enabled
   // environment matrix (scripts/check.sh tier 1f exports SRUMMA_CACHE=1).
-  struct EnvGuard {
-    std::string saved = [] {
-      const char* v = std::getenv("SRUMMA_CACHE");
-      return v != nullptr ? std::string(v) : std::string();
-    }();
-    bool had = std::getenv("SRUMMA_CACHE") != nullptr;
-    EnvGuard() { unsetenv("SRUMMA_CACHE"); }
-    ~EnvGuard() {
-      if (had) setenv("SRUMMA_CACHE", saved.c_str(), 1);
-    }
-  } guard;
+  testing::ScopedEnv no_cache("SRUMMA_CACHE", nullptr);
   Team team(MachineModel::testing(2, 2));
   RmaRuntime plain(team);
   EXPECT_EQ(plain.block_cache(), nullptr);
@@ -443,6 +433,26 @@ TEST(CacheConfig, EnvCapacityParsesStrictly) {
   }
 }
 
+TEST(CacheConfig, EnvSwitchIsZeroOrOne) {
+  cache::CacheConfig base;
+  {
+    testing::ScopedEnv e("SRUMMA_CACHE", nullptr);
+    EXPECT_FALSE(cache::CacheConfig::from_env(base).enabled);
+  }
+  for (const char* off : {"", "0"}) {
+    testing::ScopedEnv e("SRUMMA_CACHE", off);
+    EXPECT_FALSE(cache::CacheConfig::from_env(base).enabled) << off;
+  }
+  {
+    testing::ScopedEnv e("SRUMMA_CACHE", "1");
+    EXPECT_TRUE(cache::CacheConfig::from_env(base).enabled);
+  }
+  for (const char* bad : {"01", "true", "on", "2"})
+    testing::expect_env_rejected("SRUMMA_CACHE", bad, [&] {
+      (void)cache::CacheConfig::from_env(base);
+    });
+}
+
 TEST(Lookahead, MalformedEnvThrows) {
   const SrummaOptions opt = tiled_copy_options();
   for (const char* bad : {"0", "65", "abc"}) {
@@ -464,9 +474,10 @@ TEST(Lookahead, EnvOverrideAndHeuristicBothMatchReference) {
     for (index_t i = 0; i < n; ++i) ASSERT_EQ(heur.c(i, j), ref(i, j));
 
   // Env override path.
-  ASSERT_EQ(setenv("SRUMMA_LOOKAHEAD", "3", 1), 0);
-  const CacheRun env = run_grid_multiply(RmaConfig{}, opt, n, 53);
-  unsetenv("SRUMMA_LOOKAHEAD");
+  const CacheRun env = [&] {
+    testing::ScopedEnv e("SRUMMA_LOOKAHEAD", "3");
+    return run_grid_multiply(RmaConfig{}, opt, n, 53);
+  }();
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) ASSERT_EQ(env.c(i, j), ref(i, j));
 

@@ -266,6 +266,19 @@ TEST(Engine, EnvSelectionResolvesAutoOnly) {
   // Auto's answer depends on the environment this test runs under (tier 1g
   // sets SRUMMA_ENGINE=1); both answers are legal, it just must not throw.
   (void)engine::selected(EngineMode::Auto);
+  for (const char* off : {"", "0"}) {
+    testing::ScopedEnv e("SRUMMA_ENGINE", off);
+    EXPECT_FALSE(engine::selected(EngineMode::Auto)) << off;
+  }
+  {
+    testing::ScopedEnv e("SRUMMA_ENGINE", "1");
+    EXPECT_TRUE(engine::selected(EngineMode::Auto));
+    EXPECT_FALSE(engine::selected(EngineMode::Off));
+  }
+  for (const char* bad : {"false", "true", "01", "yes"})
+    testing::expect_env_rejected("SRUMMA_ENGINE", bad, [] {
+      (void)engine::selected(EngineMode::Auto);
+    });
 }
 
 }  // namespace

@@ -77,6 +77,60 @@ TEST(FaultPlane, AbsentByDefault) {
   EXPECT_FALSE(fault::FaultConfig::from_env().has_value());
 }
 
+TEST(FaultPlane, EnvKnobsParseStrictly) {
+  {
+    testing::ScopedEnv fail("SRUMMA_FAULT_FAIL_RATE", "0.002");
+    testing::ScopedEnv delay("SRUMMA_FAULT_DELAY_RATE", "2e-3");
+    const std::optional<fault::FaultConfig> cfg = fault::FaultConfig::from_env();
+    ASSERT_TRUE(cfg.has_value());
+    EXPECT_EQ(cfg->fail_rate, 0.002);
+    EXPECT_EQ(cfg->delay_rate, 0.002);
+  }
+  const auto read = [] { (void)fault::FaultConfig::from_env(); };
+  for (const char* bad : {"abc", "0.5x", "1.5", "-0.1", "nan"})
+    testing::expect_env_rejected("SRUMMA_FAULT_FAIL_RATE", bad, read);
+  testing::expect_env_rejected("SRUMMA_FAULT_DELAY_FACTOR", "0.5", read);
+  testing::expect_env_rejected("SRUMMA_FAULT_SEED", "-1", read);
+  testing::expect_env_rejected("SRUMMA_FAULT_KILL_DOMAIN", "1.5", read);
+  testing::expect_env_rejected("SRUMMA_FAULT_BUDDY_OFFSET", "0", read);
+}
+
+TEST(FaultPlane, BareSwitchIsZeroOrOne) {
+  {
+    testing::ScopedEnv e("SRUMMA_FAULT", "0");
+    EXPECT_FALSE(fault::FaultConfig::from_env().has_value());
+    Team team(MachineModel::testing(2, 1));
+    EXPECT_EQ(team.faults(), nullptr);
+  }
+  {
+    testing::ScopedEnv e("SRUMMA_FAULT", "1");
+    const std::optional<fault::FaultConfig> cfg = fault::FaultConfig::from_env();
+    ASSERT_TRUE(cfg.has_value());
+    EXPECT_EQ(cfg->fail_rate, 0.0);
+  }
+  for (const char* bad : {"yes", "01"})
+    testing::expect_env_rejected("SRUMMA_FAULT", bad, [] {
+      (void)fault::FaultConfig::from_env();
+    });
+}
+
+TEST(RetryPolicy, EnvKnobsParseStrictly) {
+  {
+    testing::ScopedEnv attempts("SRUMMA_FAULT_MAX_ATTEMPTS", "20");
+    testing::ScopedEnv base("SRUMMA_FAULT_BACKOFF_BASE", "5e-6");
+    const RetryPolicy p = RetryPolicy::from_env();
+    EXPECT_EQ(p.max_attempts, 20);
+    EXPECT_EQ(p.backoff_base, 5e-6);
+  }
+  const auto read = [] { (void)RetryPolicy::from_env(); };
+  for (const char* bad : {"abc", "0", "3abc", "2.5"})
+    testing::expect_env_rejected("SRUMMA_FAULT_MAX_ATTEMPTS", bad, read);
+  for (const char* bad : {"abc", "-1e-6"})
+    testing::expect_env_rejected("SRUMMA_FAULT_BACKOFF_BASE", bad, read);
+  testing::expect_env_rejected("SRUMMA_FAULT_BACKOFF_MULT", "0.5", read);
+  testing::expect_env_rejected("SRUMMA_FAULT_OP_TIMEOUT", "1ms", read);
+}
+
 TEST(FaultPlane, KillKnobsDoNotShiftRandomStreams) {
   // The permanent kill (docs/FAULTS.md §7) is structural, not random:
   // reach_kill_point consumes NO rng draw.  Two planes with identical

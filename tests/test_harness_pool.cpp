@@ -66,6 +66,21 @@ TEST(HarnessEnv, StackSizeParsesStrictly) {
   }
 }
 
+TEST(HarnessEnv, ModeIsPooledOrThreads) {
+  Team team(MachineModel::testing(2, 1));  // ExecMode::Auto
+  std::atomic<int> started{0};
+  for (const char* mode : {"pooled", "threads", ""}) {
+    testing::ScopedEnv e("SRUMMA_HARNESS", mode);
+    team.run([&](Rank&) { ++started; });
+  }
+  EXPECT_EQ(started.load(), 6);
+  for (const char* bad : {"thread", "pool", "Threads", "1"})
+    testing::expect_env_rejected("SRUMMA_HARNESS", bad, [&] {
+      team.run([&](Rank&) { ++started; });
+    });
+  EXPECT_EQ(started.load(), 6);
+}
+
 TEST(HarnessEnv, BadWorkerCountFailsTheRunBeforeAnyRankStarts) {
   Team team(MachineModel::testing(2, 1));
   team.set_execution(ExecMode::Pooled);  // workers from the environment

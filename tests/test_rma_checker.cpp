@@ -42,6 +42,21 @@ int count(const std::vector<check::CheckReport>& rs, Diag d) {
 
 // (1) Re-targeting the destination buffer of a get that has not been
 // wait()ed is premature reuse.
+TEST(CheckerEnv, SwitchIsZeroOrOne) {
+  for (const char* off : {"", "0"}) {
+    testing::ScopedEnv e("SRUMMA_RMA_CHECK", off);
+    EXPECT_FALSE(check::RmaChecker::env_enabled()) << off;
+  }
+  {
+    testing::ScopedEnv e("SRUMMA_RMA_CHECK", "1");
+    EXPECT_TRUE(check::RmaChecker::env_enabled());
+  }
+  for (const char* bad : {"on", "true", "01"})
+    testing::expect_env_rejected("SRUMMA_RMA_CHECK", bad, [] {
+      (void)check::RmaChecker::env_enabled();
+    });
+}
+
 TEST(CheckerDiag, UseBeforeWait) {
   Team team(MachineModel::testing(1, 2));
   RmaRuntime rma(team, recording_checker());

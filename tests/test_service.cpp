@@ -557,19 +557,28 @@ TEST(Service, MetricsJsonSerializes) {
 }
 
 TEST(Service, ConfigFromEnvironment) {
-  ::setenv("SRUMMA_SERVICE_QUEUE_CAP", "7", 1);
-  ::setenv("SRUMMA_SERVICE_FLOPS_PER_NODE", "5e6", 1);
-  ::setenv("SRUMMA_SERVICE_BATCH_MAX", "9", 1);
-  ::setenv("SRUMMA_SERVICE_AGE_BOOST", "0.25", 1);
+  testing::ScopedEnv cap("SRUMMA_SERVICE_QUEUE_CAP", "7");
+  testing::ScopedEnv flops("SRUMMA_SERVICE_FLOPS_PER_NODE", "5e6");
+  testing::ScopedEnv batch("SRUMMA_SERVICE_BATCH_MAX", "9");
+  testing::ScopedEnv age("SRUMMA_SERVICE_AGE_BOOST", "0.25");
+  testing::ScopedEnv retries("SRUMMA_SERVICE_RETRIES", "20");
   const ServiceConfig cfg = ServiceConfig::from_env();
   EXPECT_EQ(cfg.queue_cap, 7);
   EXPECT_EQ(cfg.flops_per_node, 5e6);
   EXPECT_EQ(cfg.batch_max, 9);
   EXPECT_EQ(cfg.age_boost, 0.25);
-  ::unsetenv("SRUMMA_SERVICE_QUEUE_CAP");
-  ::unsetenv("SRUMMA_SERVICE_FLOPS_PER_NODE");
-  ::unsetenv("SRUMMA_SERVICE_BATCH_MAX");
-  ::unsetenv("SRUMMA_SERVICE_AGE_BOOST");
+  EXPECT_EQ(cfg.retries, 20);
+}
+
+TEST(Service, MalformedConfigEnvironmentIsAnErrorNamingTheKnob) {
+  const auto read = [] { (void)ServiceConfig::from_env(); };
+  for (const char* bad : {"2.7", "3abc", "abc", "-1"})
+    testing::expect_env_rejected("SRUMMA_SERVICE_RETRIES", bad, read);
+  for (const char* bad : {"0", "1.5"})
+    testing::expect_env_rejected("SRUMMA_SERVICE_BATCH_MAX", bad, read);
+  for (const char* bad : {"0", "-5e6", "5e6x", "nan"})
+    testing::expect_env_rejected("SRUMMA_SERVICE_FLOPS_PER_NODE", bad, read);
+  testing::expect_env_rejected("SRUMMA_SERVICE_AGE_BOOST", "-0.25", read);
 }
 
 }  // namespace

@@ -223,6 +223,52 @@ TEST(Error, MessageCarriesContext) {
   }
 }
 
+TEST(EnvNumber, ParsesRealsInsideTheRange) {
+  for (const auto& [v, want] :
+       {std::pair{"0.002", 0.002}, {"5e6", 5e6}, {"20", 20.0}, {".25", 0.25}}) {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", v);
+    EXPECT_EQ(env_number("SRUMMA_TEST_KNOB", 0.0, 1e7), want) << v;
+  }
+  for (const char* v : {"abc", "3abc", " 1", "+1", "nan", "inf", "-1",
+                        "1e400", "2e7"}) {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", v);
+    try {
+      (void)env_number("SRUMMA_TEST_KNOB", 0.0, 1e7);
+      ADD_FAILURE() << "accepted '" << v << "'";
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find(
+                    "SRUMMA_TEST_KNOB must be a number in [0, 1e+07]"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(EnvNumber, UnsignedRejectsNegatives) {
+  testing::ScopedEnv e("SRUMMA_TEST_KNOB", "-1");
+  EXPECT_THROW((void)env_number<std::uint64_t>("SRUMMA_TEST_KNOB", 0, 10),
+               Error);
+}
+
+TEST(EnvFlag, OnlyZeroOrOne) {
+  {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", nullptr);
+    EXPECT_FALSE(env_flag("SRUMMA_TEST_KNOB"));
+    EXPECT_TRUE(env_flag("SRUMMA_TEST_KNOB", /*unset=*/true));
+  }
+  for (const char* off : {"", "0"}) {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", off);
+    EXPECT_FALSE(env_flag("SRUMMA_TEST_KNOB", /*unset=*/true)) << off;
+  }
+  {
+    testing::ScopedEnv e("SRUMMA_TEST_KNOB", "1");
+    EXPECT_TRUE(env_flag("SRUMMA_TEST_KNOB"));
+  }
+  for (const char* bad : {"false", "true", "01", "on", "2", " 1"})
+    testing::expect_env_rejected("SRUMMA_TEST_KNOB", bad,
+                                 [] { (void)env_flag("SRUMMA_TEST_KNOB"); });
+}
+
 TEST(EnvInt, UnsetOrEmptyIsAbsent) {
   {
     testing::ScopedEnv e("SRUMMA_TEST_KNOB", nullptr);
